@@ -26,8 +26,16 @@ __all__ = [
 KINDS = ("lookup", "mhn", "minerva2", "hopfield", "grossberg")
 RULES = ("RC", "RG", "RE")
 
-_MAGIC = b"VCM1"
-_HEADER = struct.Struct("<4sBBQQ6dQ")
+_MAGIC = b"VCM2"
+_HEADER = struct.Struct("<4sBBQQ7dQ")
+
+# The exact-row index may stand in for the dedup scan only where the scan is
+# sure to agree.  A stored row equal to the trace scores 1 up to a rounding of
+# a few ulps per dimension when the squared norms neither underflow nor
+# overflow; norms inside these bounds also keep every other row's score
+# finite, so no NaN can hide the maximum.
+_NORM_MIN, _NORM_MAX = 1e-150, 1e150
+_EPS = float(np.finfo(np.float64).eps)
 
 
 class EmptyMemoryError(RuntimeError):
@@ -48,6 +56,10 @@ def _softmax(z: Vector) -> Vector:
     return w / w.sum()
 
 
+def _row_key(row: Vector) -> int:
+    return hash(row.tobytes())
+
+
 def _hardmax(z: Vector) -> int:
     # np.argmax already resolves ties toward the lowest index.
     return int(np.argmax(z))
@@ -56,9 +68,14 @@ def _hardmax(z: Vector) -> int:
 class CleanupMemory:
     """Ordered store of n-dimensional traces with kind-dispatched recall.
 
-    Rows are kept in insertion order.  ``append`` deduplicates near-identical
-    traces (cosine >= dedup threshold) so repeated stores do not grow the
-    matrix.  Parameters not used by the configured kind are carried inertly.
+    Rows are kept in insertion order.  ``append`` deduplicates: a trace whose
+    cosine with some stored row is at least ``dedup_threshold`` is not stored
+    again, so repeated stores do not grow the matrix.  A byte-identical repeat
+    is found through an index of row hashes without scanning the store; any
+    other trace is compared with every row.  A trace of zero norm (or a NaN
+    norm) is never deduplicated.  Snapshots keep the threshold along with the
+    other parameters, which are carried inertly when the kind does not use
+    them.
     """
 
     def __init__(
@@ -92,6 +109,8 @@ class CleanupMemory:
         self._buf = np.empty((16, dim))
         self._norms = np.empty(16)
         self._m = 0
+        # hash of a row's bytes -> indices of the rows with that hash
+        self._index: dict[int, list[int]] = {}
 
     # -- storage ------------------------------------------------------------
 
@@ -115,12 +134,39 @@ class CleanupMemory:
         self._buf = buf
         self._norms = norms
 
+    def _index_add(self, i: int) -> None:
+        self._index.setdefault(_row_key(self._buf[i]), []).append(i)
+
+    def _index_move(self, i: int, old: int) -> None:
+        """Re-key row ``i`` after an overwrite; ``old`` is its key from before."""
+        bucket = self._index[old]
+        bucket.remove(i)
+        if not bucket:
+            del self._index[old]
+        self._index_add(i)
+
+    def _reindex(self) -> None:
+        self._index = {}
+        for i in range(self._m):
+            self._index_add(i)
+
+    def _stores_exactly(self, t: Vector, tn: float) -> bool:
+        """Whether ``t`` is a stored row that the dedup scan is sure to find."""
+        exact_rows_pass = self.dedup_threshold <= 1.0 - 4 * self.dim * _EPS
+        if not (exact_rows_pass and t.dtype == np.float64 and _NORM_MIN < tn):
+            return False
+        if not any(np.array_equal(self._buf[i], t) for i in self._index.get(_row_key(t), ())):
+            return False
+        return not (self._norms[: self._m] > _NORM_MAX).any()
+
     def append(self, t: Vector, *, dedup: bool = True) -> "CleanupMemory":
         """Append one trace; a near-duplicate of an existing row is a no-op."""
         if t.shape != (self.dim,):
             raise ValueError(f"trace shape {t.shape} does not match dim {self.dim}")
         if dedup and self._m > 0:
             tn = np.linalg.norm(t)
+            if self._stores_exactly(t, tn):
+                return self
             if tn > 0.0:
                 denom = self._norms[: self._m] * tn
                 with np.errstate(invalid="ignore", divide="ignore"):
@@ -130,6 +176,7 @@ class CleanupMemory:
         self._grow_to(self._m + 1)
         self._buf[self._m] = t
         self._norms[self._m] = np.linalg.norm(t)
+        self._index_add(self._m)
         self._m += 1
         return self
 
@@ -144,6 +191,8 @@ class CleanupMemory:
         self._grow_to(self._m + k)
         self._buf[self._m : self._m + k] = rows
         self._norms[self._m : self._m + k] = np.linalg.norm(rows, axis=1)
+        for i in range(self._m, self._m + k):
+            self._index_add(i)
         self._m += k
         return self
 
@@ -151,8 +200,10 @@ class CleanupMemory:
         """Overwrite a stored row in place (used for redefinition semantics)."""
         if not 0 <= i < self._m:
             raise IndexError("row index out of range")
+        old = _row_key(self._buf[i])
         self._buf[i] = t
         self._norms[i] = np.linalg.norm(t)
+        self._index_move(i, old)
 
     def activations(self, p: Vector) -> Vector:
         self._require_nonempty()
@@ -247,8 +298,10 @@ class CleanupMemory:
             self._buf[: self._m] -= self.eta * grad
         elif rule == "RG":
             i = _hardmax(self.activations(p))
+            old = _row_key(self._buf[i])
             self._buf[i] -= self.eta * grad[i]
             self._norms[i] = np.linalg.norm(self._buf[i])
+            self._index_move(i, old)
             return self
         elif rule == "RE":
             w = self.alpha * _softmax(self.gamma * self.activations(p))
@@ -256,6 +309,7 @@ class CleanupMemory:
         else:
             raise ValueError(f"unknown update rule {rule!r}")
         self._norms[: self._m] = np.linalg.norm(self.traces, axis=1)
+        self._reindex()
         return self
 
     # -- serialization --------------------------------------------------------
@@ -275,6 +329,7 @@ class CleanupMemory:
             self.alpha,
             self.eta,
             self.tol,
+            self.dedup_threshold,
             self.max_iters,
         )
         body = np.ascontiguousarray(self.traces, dtype="<f8").tobytes()
@@ -284,9 +339,12 @@ class CleanupMemory:
     def from_bytes(cls, blob: bytes) -> "CleanupMemory":
         if len(blob) < _HEADER.size:
             raise ValueError("truncated cleanup memory snapshot")
-        (magic, kind_i, rho_is_int, m, dim, beta, rho, gamma, alpha, eta, tol, max_iters) = _HEADER.unpack_from(blob)
+        (magic, kind_i, rho_is_int, m, dim, beta, rho, gamma, alpha, eta, tol, dedup_threshold,
+         max_iters) = _HEADER.unpack_from(blob)
         if magic != _MAGIC:
             raise ValueError("bad cleanup memory magic")
+        if kind_i >= len(KINDS):
+            raise ValueError(f"unknown memory kind index {kind_i}")
         expected = _HEADER.size + m * dim * 8
         if len(blob) != expected:
             raise ValueError(f"snapshot length {len(blob)} does not match header ({expected})")
@@ -300,6 +358,7 @@ class CleanupMemory:
             eta=eta,
             max_iters=int(max_iters),
             tol=tol,
+            dedup_threshold=dedup_threshold,
         )
         rows = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(int(m), int(dim))
         if m:

@@ -70,6 +70,93 @@ def test_extend_bulk_skips_dedup_by_default():
     assert len(mem2) == 5
 
 
+class ScanOnlyMemory(CleanupMemory):
+    """Reference store: the dedup rule as a plain cosine scan over every row."""
+
+    def append(self, t, *, dedup=True):
+        m = len(self)
+        if dedup and m:
+            tn = np.linalg.norm(t)
+            if tn > 0.0:
+                denom = self._norms[:m] * tn
+                with np.errstate(invalid="ignore", divide="ignore"):
+                    sims = np.where(denom > 0.0, (self.traces @ t) / denom, 0.0)
+                if sims.max() >= self.dedup_threshold:
+                    return self
+        return super().append(t, dedup=False)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN and infinite rows
+@pytest.mark.parametrize("threshold", [0.99, 0.5, np.nextafter(1.0, 0.0), 1.0])
+def test_exact_row_index_stores_what_the_scan_stores(threshold):
+    rng = np.random.default_rng(22)
+    n = 32
+    mem = CleanupMemory(n, dedup_threshold=threshold)
+    ref = ScanOnlyMemory(n, dedup_threshold=threshold)
+    seen = [unit_rows(rng, 1, n)[0]]
+    mem.append(seen[0])
+    ref.append(seen[0])
+
+    def stored_row():
+        return mem.traces[rng.integers(len(mem))].copy()
+
+    def near_twin():
+        row = stored_row()
+        if not 1e-3 < np.linalg.norm(row) < 1e3:  # a zero, NaN, infinite or tiny row
+            row = seen[0]
+        twin = row + rng.normal(0.0, 0.01 * np.linalg.norm(row) / np.sqrt(n), n)
+        assert twin @ row / (np.linalg.norm(twin) * np.linalg.norm(row)) >= 0.99
+        return twin
+
+    traces = [
+        lambda: unit_rows(rng, 1, n)[0],
+        lambda: seen[rng.integers(len(seen))].copy(),
+        lambda: seen[rng.integers(len(seen))].copy(),
+        stored_row,
+        near_twin,
+        lambda: np.zeros(n),
+        lambda: np.full(n, np.nan),
+        lambda: 1e-160 * seen[-1],  # its squared norm underflows
+        lambda: np.where(rng.random(n) < 0.5, seen[-1], 0.0),
+    ]
+    for step in range(600):
+        op = rng.integers(len(traces) + 4)
+        if step == 550:
+            # One infinite row turns every later scan score into NaN.
+            t = np.full(n, np.inf)
+        elif op < len(traces):
+            t = traces[op]()
+        elif op == len(traces):
+            i, t = rng.integers(len(mem)), [unit_rows(rng, 1, n)[0], stored_row()][rng.integers(2)]
+            mem.set_row(i, t)
+            ref.set_row(i, t)
+            t = None
+        elif op == len(traces) + 1:
+            grad = rng.normal(0.0, 0.01, (len(mem), n))
+            rule = ["RG", "RC"][rng.integers(2)]
+            mem.apply_update(seen[-1], grad, rule)
+            ref.apply_update(seen[-1], grad, rule)
+            t = None
+        elif op == len(traces) + 2:
+            rows = np.stack([stored_row(), unit_rows(rng, 1, n)[0], seen[-1]])
+            dedup = bool(rng.integers(2))
+            mem.extend(rows, dedup=dedup)
+            ref.extend(rows, dedup=dedup)
+            t = None
+        else:
+            mem = CleanupMemory.from_bytes(mem.to_bytes())
+            ref = ScanOnlyMemory.from_bytes(ref.to_bytes())
+            t = None
+        if t is not None:
+            dedup = bool(rng.integers(8))
+            mem.append(t, dedup=dedup)
+            ref.append(t, dedup=dedup)
+            seen.append(t)
+        assert len(mem) == len(ref)
+        assert mem.traces.tobytes() == ref.traces.tobytes()
+    assert mem.dedup_threshold == threshold
+
+
 def test_set_row_overwrites_in_place():
     rng = np.random.default_rng(3)
     mem = filled(rng, m=4, n=32)
@@ -251,10 +338,11 @@ def test_update_validates_grad_shape_and_rule():
 def test_snapshot_round_trip_is_bit_exact():
     rng = np.random.default_rng(19)
     mem = filled(rng, m=9, n=48, kind="minerva2", beta=7.5, rho=5, gamma=2.0,
-                 alpha=0.5, eta=0.01, max_iters=33, tol=1e-8)
+                 alpha=0.5, eta=0.01, max_iters=33, tol=1e-8, dedup_threshold=0.95)
     back = CleanupMemory.from_bytes(mem.to_bytes())
     assert back.kind == "minerva2"
     assert (back.beta, back.gamma, back.alpha, back.eta) == (7.5, 2.0, 0.5, 0.01)
+    assert back.dedup_threshold == 0.95
     assert back.rho == 5 and isinstance(back.rho, int)
     assert back.max_iters == 33 and back.tol == 1e-8
     assert np.array_equal(back.traces, mem.traces)
@@ -280,6 +368,8 @@ def test_snapshot_rejects_corruption():
         CleanupMemory.from_bytes(blob[:-8])
     with pytest.raises(ValueError):
         CleanupMemory.from_bytes(b"XXXX" + blob[4:])
+    with pytest.raises(ValueError):
+        CleanupMemory.from_bytes(blob[:4] + bytes([len(KINDS)]) + blob[5:])
 
 
 def test_save_and_load_files(tmp_path):
