@@ -31,11 +31,29 @@ _HEADER = struct.Struct("<4sBBQQ7dQ")
 
 # The exact-row index may stand in for the dedup scan only where the scan is
 # sure to agree.  A stored row equal to the trace scores 1 up to a rounding of
-# a few ulps per dimension when the squared norms neither underflow nor
-# overflow; norms inside these bounds also keep every other row's score
-# finite, so no NaN can hide the maximum.
+# a few ulps per dimension when its squared norm neither underflows nor
+# overflows.
 _NORM_MIN, _NORM_MAX = 1e-150, 1e150
 _EPS = float(np.finfo(np.float64).eps)
+
+# The float32 screen bounds a scan only for a float64 probe and stored rows
+# whose norms lie in this range: no float32 sum can overflow (every partial sum
+# is below 2**100), and float32 gradual underflow costs each product at most
+# 2**-150, which is 4 * dim * eps64 of a norm product of at least 2**-100.
+_SCREEN_MIN, _SCREEN_MAX = 2.0**-50, 2.0**50
+_U32 = 2.0**-24
+
+
+def _screen_margin(dim: int) -> float:
+    """Bound on |float32 dot - float64 dot| per unit of ||r|| * ||p||.
+
+    Rounding both operands to float32 and summing in any order errs by at most
+    gamma_{dim+2} = (dim+2)u / (1 - (dim+2)u) with u = 2**-24.  The 8 * dim *
+    eps64 on top covers float32 underflow (4 * dim * eps64, see above) and the
+    float64 scan's own rounding of its dot product and norms.
+    """
+    k = (dim + 2) * _U32
+    return k / (1.0 - k) + 8 * dim * _EPS
 
 
 class EmptyMemoryError(RuntimeError):
@@ -73,9 +91,24 @@ class CleanupMemory:
     again, so repeated stores do not grow the matrix.  A byte-identical repeat
     is found through an index of row hashes without scanning the store; any
     other trace is compared with every row.  A trace of zero norm (or a NaN
-    norm) is never deduplicated.  Snapshots keep the threshold along with the
-    other parameters, which are carried inertly when the kind does not use
-    them.
+    norm) is never deduplicated, and a row whose score is NaN never matches.
+    Snapshots keep the threshold along with the other parameters, which are
+    carried inertly when the kind does not use them.
+
+    Scans are screened through a float32 copy of the rows, which costs 4 bytes
+    per stored coordinate on top of the 8 of the float64 rows.  A float32 dot
+    product of a row r and a probe p differs from the float64 one by at most
+    ``margin * ||r|| * ||p||``, where ``margin`` is gamma_{dim+2} in float32
+    units plus a few dim * eps64 (about 1.22e-4 at dim 2048).  Dedup takes the
+    screened cosine maximum s: s >= threshold + margin is a duplicate, s <
+    threshold - margin is stored, and only the band between runs the float64
+    scan.  ``recall_lookup`` returns the float32 argmax row when its activation
+    minus its error bound exceeds every other row's activation plus that row's
+    bound; otherwise the float64 activations decide, with their lowest-index
+    tie-breaking.  The screen applies only to a float64 probe whose norm, like
+    every stored row's, lies in [2**-50, 2**50]; otherwise the float64 scan
+    runs.  Either way the stored rows and recalled rows are those of the float64
+    scan.
     """
 
     def __init__(
@@ -107,7 +140,11 @@ class CleanupMemory:
         self.tol = float(tol)
         self.dedup_threshold = float(dedup_threshold)
         self._buf = np.empty((16, dim))
+        self._buf32 = np.empty((16, dim), dtype=np.float32)
+        # Norms of the float64 rows, whatever dtype a caller stored: the
+        # screen's bound needs them accurate to float64 rounding.
         self._norms = np.empty(16)
+        self._margin = _screen_margin(self.dim)
         self._m = 0
         # hash of a row's bytes -> indices of the rows with that hash
         self._index: dict[int, list[int]] = {}
@@ -128,11 +165,19 @@ class CleanupMemory:
         while cap < needed:
             cap *= 2
         buf = np.empty((cap, self.dim))
+        buf32 = np.empty((cap, self.dim), dtype=np.float32)
         norms = np.empty(cap)
         buf[: self._m] = self._buf[: self._m]
+        buf32[: self._m] = self._buf32[: self._m]
         norms[: self._m] = self._norms[: self._m]
         self._buf = buf
+        self._buf32 = buf32
         self._norms = norms
+
+    def _mirror(self, start: int, stop: int) -> None:
+        """Copy rows ``start:stop`` into the float32 screen."""
+        with np.errstate(over="ignore"):  # rows past float32 range are never screened
+            self._buf32[start:stop] = self._buf[start:stop]
 
     def _index_add(self, i: int) -> None:
         self._index.setdefault(_row_key(self._buf[i]), []).append(i)
@@ -153,11 +198,42 @@ class CleanupMemory:
     def _stores_exactly(self, t: Vector, tn: float) -> bool:
         """Whether ``t`` is a stored row that the dedup scan is sure to find."""
         exact_rows_pass = self.dedup_threshold <= 1.0 - 4 * self.dim * _EPS
-        if not (exact_rows_pass and t.dtype == np.float64 and _NORM_MIN < tn):
+        if not (exact_rows_pass and t.dtype == np.float64 and _NORM_MIN < tn < _NORM_MAX):
             return False
-        if not any(np.array_equal(self._buf[i], t) for i in self._index.get(_row_key(t), ())):
+        return any(np.array_equal(self._buf[i], t) for i in self._index.get(_row_key(t), ()))
+
+    def _screens(self, p: Vector, pn: float) -> bool:
+        """Whether the float32 screen's error bound holds for probe ``p`` of norm ``pn``."""
+        norms = self._norms[: self._m]
+        return (
+            p.dtype == np.float64
+            and _SCREEN_MIN <= pn <= _SCREEN_MAX
+            and norms.min() >= _SCREEN_MIN
+            and norms.max() <= _SCREEN_MAX
+        )
+
+    def _screened(self, p: Vector) -> Vector:
+        """Float32 activations of every stored row against ``p``, as float64."""
+        return (self._buf32[: self._m] @ p.astype(np.float32)).astype(np.float64)
+
+    def _is_duplicate(self, t: Vector, tn: float) -> bool:
+        """Whether some stored row's cosine with ``t`` reaches the threshold."""
+        if self._screens(t, tn):
+            best = (self._screened(t) / (self._norms[: self._m] * tn)).max()
+            if best >= self.dedup_threshold + self._margin:
+                return True
+            if best < self.dedup_threshold - self._margin:
+                return False
+        return self._scan_duplicate(t, tn)
+
+    def _scan_duplicate(self, t: Vector, tn: float) -> bool:
+        """The float64 dedup scan: cosine of ``t`` with every stored row."""
+        if not tn > 0.0:
             return False
-        return not (self._norms[: self._m] > _NORM_MAX).any()
+        denom = self._norms[: self._m] * tn
+        with np.errstate(invalid="ignore", divide="ignore"):
+            sims = np.where(denom > 0.0, (self.traces @ t) / denom, 0.0)
+        return bool((sims >= self.dedup_threshold).any())
 
     def append(self, t: Vector, *, dedup: bool = True) -> "CleanupMemory":
         """Append one trace; a near-duplicate of an existing row is a no-op."""
@@ -165,17 +241,12 @@ class CleanupMemory:
             raise ValueError(f"trace shape {t.shape} does not match dim {self.dim}")
         if dedup and self._m > 0:
             tn = np.linalg.norm(t)
-            if self._stores_exactly(t, tn):
+            if self._stores_exactly(t, tn) or self._is_duplicate(t, tn):
                 return self
-            if tn > 0.0:
-                denom = self._norms[: self._m] * tn
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    sims = np.where(denom > 0.0, (self.traces @ t) / denom, 0.0)
-                if sims.max() >= self.dedup_threshold:
-                    return self
         self._grow_to(self._m + 1)
         self._buf[self._m] = t
-        self._norms[self._m] = np.linalg.norm(t)
+        self._mirror(self._m, self._m + 1)
+        self._norms[self._m] = np.linalg.norm(self._buf[self._m])
         self._index_add(self._m)
         self._m += 1
         return self
@@ -190,7 +261,8 @@ class CleanupMemory:
         k = rows.shape[0]
         self._grow_to(self._m + k)
         self._buf[self._m : self._m + k] = rows
-        self._norms[self._m : self._m + k] = np.linalg.norm(rows, axis=1)
+        self._mirror(self._m, self._m + k)
+        self._norms[self._m : self._m + k] = np.linalg.norm(self._buf[self._m : self._m + k], axis=1)
         for i in range(self._m, self._m + k):
             self._index_add(i)
         self._m += k
@@ -202,7 +274,8 @@ class CleanupMemory:
             raise IndexError("row index out of range")
         old = _row_key(self._buf[i])
         self._buf[i] = t
-        self._norms[i] = np.linalg.norm(t)
+        self._mirror(i, i + 1)
+        self._norms[i] = np.linalg.norm(self._buf[i])
         self._index_move(i, old)
 
     def activations(self, p: Vector) -> Vector:
@@ -229,8 +302,23 @@ class CleanupMemory:
 
     def recall_lookup(self, p: Vector) -> Vector:
         """Exact row with the highest activation; ties go to the lowest index."""
-        acts = self.activations(p)
-        return self.traces[_hardmax(acts)].copy()
+        self._require_nonempty()
+        i = self._screened_argmax(p)
+        if i is None:
+            i = _hardmax(self.activations(p))
+        return self.traces[i].copy()
+
+    def _screened_argmax(self, p: Vector) -> int | None:
+        """The row of highest activation if the float32 screen proves it, else None."""
+        pn = np.linalg.norm(p)
+        if not self._screens(p, pn):
+            return None
+        acts = self._screened(p)
+        err = self._margin * pn * self._norms[: self._m]
+        i = int(np.argmax(acts))
+        rivals = acts + err
+        rivals[i] = -np.inf
+        return i if rivals.max() < acts[i] - err[i] else None
 
     def recall_mhn(self, p: Vector, beta: float | None = None) -> Vector:
         """Softmax-weighted row blend; beta=0 is the unweighted row mean."""
@@ -300,6 +388,7 @@ class CleanupMemory:
             i = _hardmax(self.activations(p))
             old = _row_key(self._buf[i])
             self._buf[i] -= self.eta * grad[i]
+            self._mirror(i, i + 1)
             self._norms[i] = np.linalg.norm(self._buf[i])
             self._index_move(i, old)
             return self
@@ -308,6 +397,7 @@ class CleanupMemory:
             self._buf[: self._m] -= self.eta * w[:, None] * grad
         else:
             raise ValueError(f"unknown update rule {rule!r}")
+        self._mirror(0, self._m)
         self._norms[: self._m] = np.linalg.norm(self.traces, axis=1)
         self._reindex()
         return self

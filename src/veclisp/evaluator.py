@@ -117,16 +117,36 @@ class EvalSession:
         # their cosine sits inside recall noise); projections consult the
         # shadow first and fall back to cleanup recall for vectors born from
         # blends or probes.  Produced vectors are bit-identical either way.
-        self._trees: dict[bytes, SExpr] = {}
+        # ``_trees`` maps the hash of a vector's bytes to the (vector, tree)
+        # entries with that hash; a vector is known only when bitwise equal to
+        # one held there.
+        self._trees: dict[int, list[tuple[Vector, SExpr]]] = {}
         self._vecs: dict[SExpr, Vector] = {}
         for nm in ("NIL", "T", "F", codec.DONE_NAME):
-            self._trees[self.registry.vector(nm).tobytes()] = Atom(nm)
+            self._remember(self.registry.vector(nm), Atom(nm))
 
     # -- plumbing -------------------------------------------------------------
 
     @property
     def dim(self) -> int:
         return self.config.dim
+
+    def _known(self, v: Vector) -> SExpr | None:
+        """The tree behind a vector bitwise equal to ``v``, if the session built one."""
+        raw = v.tobytes()
+        for held, tree in self._trees.get(hash(raw), ()):
+            if held is v or held.tobytes() == raw:
+                return tree
+        return None
+
+    def _remember(self, v: Vector, tree: SExpr) -> None:
+        """Record ``v``'s tree unless a bitwise-equal vector is already known."""
+        raw = v.tobytes()
+        bucket = self._trees.setdefault(hash(raw), [])
+        if all(held.tobytes() != raw for held, _ in bucket):
+            # The shadow holds ``v`` itself, so an in-place write must fail.
+            v.flags.writeable = False
+            bucket.append((v, tree))
 
     def is_atomic(self, v: Vector) -> bool:
         return codec.is_atomic_vec(v, self.tags, self.thresholds)
@@ -137,14 +157,14 @@ class EvalSession:
             return v
         if isinstance(e, Atom):
             v = self.registry.vector(e.name)
-            self._trees.setdefault(v.tobytes(), e)
+            self._remember(v, e)
         else:
             v = self.cons(self.encode(e.left), self.encode(e.right))
         self._vecs[e] = v
         return v
 
     def decode(self, v: Vector) -> SExpr:
-        known = self._trees.get(v.tobytes())
+        known = self._known(v)
         if known is not None:
             return known
         return codec.decode(v, self.mem, self.registry, self.thresholds)
@@ -178,22 +198,22 @@ class EvalSession:
 
     def cons(self, a: Vector, b: Vector) -> Vector:
         v = codec.cons_vec(a, b, self.tags, self.mem)
-        ta = self._trees.get(a.tobytes())
-        tb = self._trees.get(b.tobytes())
+        ta = self._known(a)
+        tb = self._known(b)
         if ta is not None and tb is not None:
             tree = Pair(ta, tb)
-            self._trees.setdefault(v.tobytes(), tree)
+            self._remember(v, tree)
             self._vecs.setdefault(tree, v)
         return v
 
     def car(self, c: Vector) -> Vector:
-        t = self._trees.get(c.tobytes())
+        t = self._known(c)
         if isinstance(t, Pair):
             return self.encode(t.left)
         return self.mem.recall(hrr.unbind(self.tags.left, c))
 
     def cdr(self, c: Vector) -> Vector:
-        t = self._trees.get(c.tobytes())
+        t = self._known(c)
         if isinstance(t, Pair):
             return self.encode(t.right)
         return self.mem.recall(hrr.unbind(self.tags.right, c))
@@ -300,9 +320,9 @@ class EvalSession:
             y, e2 = self.relabel(params(), body())
             base = self._lambda_expr(y, e2)
             marked = base + self.tags.rho
-            known = self._trees.get(base.tobytes())
+            known = self._known(base)
             if known is not None:
-                self._trees.setdefault(marked.tobytes(), known)
+                self._remember(marked, known)
             return self.lambda_apply(marked, a)
 
         def params_done() -> Vector:

@@ -26,6 +26,17 @@ class Pair:
     left: "SExpr"
     right: "SExpr"
 
+    def __post_init__(self) -> None:
+        # Hashed once: dict lookups on deep trees would otherwise rehash every node.
+        object.__setattr__(self, "_hash", hash((self.left, self.right)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # Rebuild through __init__: string hashes differ between processes.
+        return (Pair, (self.left, self.right))
+
     def __repr__(self) -> str:
         return f"Pair({self.left!r}, {self.right!r})"
 

@@ -81,7 +81,7 @@ class ScanOnlyMemory(CleanupMemory):
                 denom = self._norms[:m] * tn
                 with np.errstate(invalid="ignore", divide="ignore"):
                     sims = np.where(denom > 0.0, (self.traces @ t) / denom, 0.0)
-                if sims.max() >= self.dedup_threshold:
+                if (sims >= self.dedup_threshold).any():
                     return self
         return super().append(t, dedup=False)
 
@@ -122,8 +122,18 @@ def test_exact_row_index_stores_what_the_scan_stores(threshold):
     for step in range(600):
         op = rng.integers(len(traces) + 4)
         if step == 550:
-            # One infinite row turns every later scan score into NaN.
-            t = np.full(n, np.inf)
+            # An infinite row scores NaN in every later scan; that must not
+            # stop deduplication for good.
+            mem.append(np.full(n, np.inf), dedup=False)
+            ref.append(np.full(n, np.inf), dedup=False)
+            finite = [i for i in range(len(mem)) if 1e-3 < np.linalg.norm(mem.traces[i]) < 1e3]
+            t = mem.traces[finite[-1]].copy()
+            before = len(mem)
+            mem.append(t)
+            ref.append(t)
+            if threshold <= 0.99:  # nearer 1, rounding can keep an exact repeat out
+                assert len(mem) == before
+            t = None
         elif op < len(traces):
             t = traces[op]()
         elif op == len(traces):
@@ -155,6 +165,184 @@ def test_exact_row_index_stores_what_the_scan_stores(threshold):
         assert len(mem) == len(ref)
         assert mem.traces.tobytes() == ref.traces.tobytes()
     assert mem.dedup_threshold == threshold
+
+
+class ScreenCounting(CleanupMemory):
+    """The store under test, counting the scans its float32 screen leaves to float64."""
+
+    def __init__(self, *args, **kw):
+        super().__init__(*args, **kw)
+        self.dedup_checks = self.dedup_scans = self.full_activations = 0
+
+    def _is_duplicate(self, t, tn):
+        self.dedup_checks += 1
+        return super()._is_duplicate(t, tn)
+
+    def _scan_duplicate(self, t, tn):
+        self.dedup_scans += 1
+        return super()._scan_duplicate(t, tn)
+
+    def activations(self, p):
+        self.full_activations += 1
+        return super().activations(p)
+
+
+def out_of_range(row, kind):
+    """A trace the float32 screen must not bound."""
+    return [
+        np.zeros_like(row),
+        np.full_like(row, np.nan),
+        np.full_like(row, np.inf),
+        1e-160 * row,
+        1e20 * row,
+        row.astype(np.float32),
+    ][kind]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN and infinite rows
+@pytest.mark.parametrize("threshold", [0.99, 0.5])
+def test_float32_screen_stores_what_the_scan_stores(threshold):
+    rng = np.random.default_rng(23)
+    n = 512
+    mem = ScreenCounting(n, dedup_threshold=threshold)
+    ref = ScanOnlyMemory(n, dedup_threshold=threshold)
+    margin = mem._margin
+    for row in unit_rows(rng, 4, n):
+        mem.append(row)
+        ref.append(row)
+
+    def in_range():
+        norms = np.linalg.norm(mem.traces, axis=1)
+        return np.flatnonzero((norms > 1e-3) & (norms < 1e3))
+
+    def planted():
+        # Cosine threshold +- k * margin with a stored row: k = 2 sits outside
+        # the band left to the float64 scan, k = 0.5 inside it, and k = 1e-5
+        # inside float32's own rounding error.
+        r = mem.traces[rng.choice(in_range())]
+        r = r / np.linalg.norm(r)
+        q = rng.normal(0.0, 1.0, n)
+        q -= (q @ r) * r
+        q /= np.linalg.norm(q)
+        c = threshold + rng.choice([-2.0, -0.5, -1e-5, 1e-5, 0.5, 2.0]) * margin
+        return rng.uniform(0.5, 2.0) * (c * r + np.sqrt(1.0 - c * c) * q)
+
+    for _ in range(500):
+        op = rng.choice(6, p=[0.15, 0.15, 0.4, 0.1, 0.1, 0.1])
+        if op == 5:
+            # Bring every out-of-range row back into range, turning the screen on.
+            norms = np.linalg.norm(mem.traces, axis=1)
+            for i in np.flatnonzero(~((norms > 1e-3) & (norms < 1e3))):
+                t = unit_rows(rng, 1, n)[0]
+                mem.set_row(i, t)
+                ref.set_row(i, t)
+        else:
+            dedup = True
+            if op == 0:
+                t = rng.uniform(0.5, 2.0) * unit_rows(rng, 1, n)[0]
+            elif op == 1:
+                t = mem.traces[rng.choice(in_range())].copy()
+            elif op in (2, 3):
+                t = planted()
+            else:
+                base = [unit_rows(rng, 1, n)[0], mem.traces[rng.choice(in_range())]][rng.integers(2)]
+                t = out_of_range(base, rng.integers(6))
+                dedup = bool(rng.integers(2))
+            mem.append(t, dedup=dedup)
+            ref.append(t, dedup=dedup)
+        assert len(mem) == len(ref)
+        assert mem.traces.tobytes() == ref.traces.tobytes()
+    # Both the screen's own decisions and the float64 fall-through ran.
+    assert 0 < mem.dedup_scans < mem.dedup_checks
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN probe
+def test_screened_recall_returns_the_float64_argmax_row():
+    rng = np.random.default_rng(24)
+    n = 512
+    mem = ScreenCounting(n)
+    rows = unit_rows(rng, 40, n)
+    mem.extend(rows)
+    mem.append(rows[7], dedup=False)  # an exact duplicate of row 7
+    mem.append(rows[11] + rng.normal(0.0, 1e-9, n), dedup=False)  # a near twin of row 11
+    # Sign rows that tie exactly with a probe that is zero where they differ;
+    # entries of +-1/16 keep every partial sum exact in any order.
+    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0) / 16.0
+    flipped = signs.copy()
+    flipped[0] = -flipped[0]
+    mem.append(flipped, dedup=False)
+    mem.append(signs, dedup=False)
+    tie_probe = signs.copy()
+    tie_probe[0] = 0.0
+
+    def reference_lookup(p):
+        return mem.traces[np.argmax(mem.traces @ p)].copy()
+
+    def reference_hopfield(p):
+        x = p
+        for _ in range(mem.max_iters):
+            nxt = reference_lookup(x)
+            if np.linalg.norm(nxt - x) < mem.tol:
+                return nxt
+            x = nxt
+        raise AssertionError("reference hopfield did not converge")
+
+    def reference_grossberg(p):
+        v = reference_lookup(p) + p
+        return 1.0 / (1.0 + np.exp(-(v / np.abs(v).sum())))
+
+    def check(probes):
+        for p in probes:
+            assert mem.recall_lookup(p).tobytes() == reference_lookup(p).tobytes()
+            assert mem.recall_hopfield(p).tobytes() == reference_hopfield(p).tobytes()
+            assert mem.recall_grossberg(p).tobytes() == reference_grossberg(p).tobytes()
+
+    clear = [rows[i] + rng.normal(0.0, 0.02, n) for i in range(40) if i not in (7, 11)]
+    check(clear)
+    assert mem.full_activations == 0  # the screen decided every clear winner
+    ties = [rows[7] + rng.normal(0.0, 0.02, n), rows[11] + rng.normal(0.0, 0.02, n), tie_probe]
+    check(ties)
+    assert mem.full_activations > 0
+    assert np.array_equal(mem.recall_lookup(tie_probe), flipped)  # the lower index wins
+    check([out_of_range(rows[3], k) for k in range(6)])
+    # One out-of-range row turns the screen off; recall is unchanged.
+    mem.append(1e20 * rows[5], dedup=False)
+    check(clear[:5] + ties)
+
+
+def test_mirror_follows_updates_and_snapshots():
+    rng = np.random.default_rng(25)
+    n = 512
+    mem = filled(rng, m=30, n=n, eta=1.0)
+
+    def agrees(target, memory):
+        p = target + rng.normal(0.0, 0.02, n)
+        want = memory.traces[np.argmax(memory.traces @ p)]
+        assert memory.recall_lookup(p).tobytes() == want.tobytes()
+
+    # RC moves every row onto another row's old place; a stale mirror would
+    # still pick the old places.
+    before = mem.traces.copy()
+    perm = np.roll(np.arange(30), 1)
+    mem.apply_update(before[0], before - before[perm], "RC")
+    for i in range(30):
+        agrees(before[perm[i]], mem)
+    # RG rewrites the selected row alone.
+    new = unit_rows(rng, 1, n)[0]
+    grad = np.zeros((30, n))
+    grad[4] = mem.traces[4] - new
+    mem.apply_update(mem.traces[4], grad, "RG")
+    agrees(new, mem)
+    assert np.allclose(mem.recall_lookup(new), new)
+    fresh = unit_rows(rng, 1, n)[0]
+    mem.set_row(9, fresh)
+    agrees(fresh, mem)
+    back = CleanupMemory.from_bytes(mem.to_bytes())
+    for i in range(30):
+        agrees(mem.traces[i], back)
+    back.extend(unit_rows(rng, 40, n))  # past the snapshot's capacity
+    for i in range(70):
+        agrees(back.traces[i], back)
 
 
 def test_set_row_overwrites_in_place():

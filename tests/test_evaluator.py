@@ -33,6 +33,17 @@ def test_cons_halves_come_back_bit_identical():
     assert np.array_equal(sess.cdr(c), b)
 
 
+def test_the_shadow_knows_bitwise_copies_and_freezes_what_it_holds():
+    sess = fresh()
+    c = sess.cons(sess.encode(Atom("A")), sess.encode(Atom("B")))
+    assert sess._known(c.copy()) == Pair(Atom("A"), Atom("B"))
+    with pytest.raises(ValueError):
+        c += 1.0  # an in-place write would silently corrupt the shadow
+    nudged = c.copy()
+    nudged[0] = np.nextafter(nudged[0], np.inf)
+    assert sess._known(nudged) is None
+
+
 def test_projection_falls_back_to_memory_recall():
     # A pair vector the session never built itself has no shadow entry, so the
     # halves must come back through unbind plus cleanup recall.
@@ -40,7 +51,7 @@ def test_projection_falls_back_to_memory_recall():
     a = sess.encode(Atom("A"))
     b = sess.encode(Atom("B"))
     c = codec.cons_vec(a, b, sess.tags, sess.mem)
-    assert c.tobytes() not in sess._trees
+    assert sess._known(c) is None
     assert np.array_equal(sess.car(c), a)
     assert np.array_equal(sess.cdr(c), b)
 

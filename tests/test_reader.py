@@ -1,6 +1,9 @@
 """Reader tests: surface syntax, canonical printing, positioned errors, and
 print/parse round-trips over random trees."""
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -113,3 +116,24 @@ def test_round_trip_over_random_trees():
     for _ in range(10_000):
         tree = random_tree(rng, 8)
         assert parse(to_text(tree)) == tree
+
+
+def test_pair_hash_survives_pickling_across_processes():
+    # String hashes depend on the process's hash seed, so an unpickled Pair must
+    # not carry the hash it cached where it was built.
+    script = (
+        "import pickle, sys\n"
+        "from veclisp.reader import parse\n"
+        "if sys.argv[1] == 'dump':\n"
+        "    sys.stdout.buffer.write(pickle.dumps(parse('(A (B . C) D)')))\n"
+        "else:\n"
+        "    got = pickle.loads(sys.stdin.buffer.read())\n"
+        "    assert {parse('(A (B . C) D)'): 1}[got] == 1\n"
+    )
+
+    def run(seed, arg, stdin=b""):
+        env = dict(os.environ, PYTHONHASHSEED=seed)
+        return subprocess.run([sys.executable, "-c", script, arg], input=stdin, env=env,
+                              capture_output=True, check=True, timeout=60).stdout
+
+    run("2", "load", run("1", "dump"))
