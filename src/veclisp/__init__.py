@@ -18,10 +18,8 @@ from .hrr import (
     involution,
     normalize,
     permute,
-    reject,
     saturating_add,
     similarity,
-    superpose,
     unbind,
 )
 from .oracle import OracleEnv, OracleError, evaluate as oracle_evaluate
@@ -60,10 +58,8 @@ __all__ = [
     "parse",
     "parse_many",
     "permute",
-    "reject",
     "saturating_add",
     "similarity",
-    "superpose",
     "to_text",
     "unbind",
 ]

@@ -154,7 +154,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         rho=args.rho,
         max_iters=args.max_iters,
         tol=args.tol,
-        trace=args.trace,
         step_limit=args.step_limit,
     )
     return RunConfig(

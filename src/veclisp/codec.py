@@ -113,9 +113,7 @@ DECODE_SHORTLIST = 3
 
 
 def _shortlist(mem: CleanupMemory, probe: Vector) -> list[Vector]:
-    acts = mem.activations(probe)
-    order = np.argsort(acts)[::-1][:DECODE_SHORTLIST]
-    return [mem.traces[i].copy() for i in order]
+    return [mem.traces[i].copy() for i in mem.shortlist(probe, DECODE_SHORTLIST)]
 
 
 def _decode(
@@ -131,22 +129,35 @@ def _decode(
     if is_atomic_vec(v, tags, t):
         name, _ = registry.nearest(v)
         return Atom(name)
-    # Deeply nested pairs rebind the same role tags, which makes their spectra
-    # spiky; a lone hardmax recall per half then occasionally prefers a
-    # sibling row.  Re-encoding candidate halves and comparing against v picks
-    # the split that actually reproduces it (the true halves rebuild v's exact
-    # direction, a wrong half scores visibly lower).
+    left, right = _best_split(v, mem, tags)
+    return Pair(
+        _decode(left, mem, registry, t, tags, depth - 1),
+        _decode(right, mem, registry, t, tags, depth - 1),
+    )
+
+
+def _best_split(v: Vector, mem: CleanupMemory, tags: TagSet) -> tuple[Vector, Vector]:
+    """The shortlisted halves whose rebuilt pair is most similar to ``v``.
+
+    Deeply nested pairs rebind the same role tags, which makes their spectra
+    spiky; a lone hardmax recall per half then occasionally prefers a sibling
+    row.  Re-encoding candidate halves and comparing against v picks the split
+    that actually reproduces it (the true halves rebuild v's exact direction, a
+    wrong half scores visibly lower).  Each candidate half is bound once and
+    its bound vector reused across the other half's list; the candidates die
+    with this frame, before the halves are decoded.
+    """
+    lefts = _shortlist(mem, hrr.unbind(tags.left, v))
+    rights = _shortlist(mem, hrr.unbind(tags.right, v))
+    bound_rights = [hrr.bind(tags.right, right) for right in rights]
     best_sim = -np.inf
     best = None
-    for left in _shortlist(mem, hrr.unbind(tags.left, v)):
-        for right in _shortlist(mem, hrr.unbind(tags.right, v)):
-            rebuilt = hrr.bind(tags.left, left) + hrr.bind(tags.right, right) + tags.phi
-            s = hrr.similarity(rebuilt, v)
+    for left in lefts:
+        bound_left = hrr.bind(tags.left, left)
+        for right, bound_right in zip(rights, bound_rights):
+            s = hrr.similarity(bound_left + bound_right + tags.phi, v)
             if s > best_sim:
                 best_sim = s
                 best = (left, right)
     assert best is not None
-    return Pair(
-        _decode(best[0], mem, registry, t, tags, depth - 1),
-        _decode(best[1], mem, registry, t, tags, depth - 1),
-    )
+    return best

@@ -57,7 +57,6 @@ class SessionConfig:
     rho: int | float = 3
     max_iters: int = 100
     tol: float = 1e-6
-    trace: bool = False
     step_limit: int = 100_000
 
 

@@ -25,14 +25,12 @@ __all__ = [
     "Permutation",
     "DimensionMismatch",
     "DegenerateVector",
-    "superpose",
     "bind",
     "involution",
     "unbind",
     "similarity",
     "normalize",
     "permute",
-    "reject",
     "saturating_add",
 ]
 
@@ -42,7 +40,7 @@ class DimensionMismatch(ValueError):
 
 
 class DegenerateVector(ValueError):
-    """Raised on normalization or rejection against a zero vector."""
+    """Raised on normalization of a zero vector."""
 
 
 @dataclass(frozen=True)
@@ -156,12 +154,6 @@ def _check_pair(u: Vector, v: Vector) -> None:
         raise DimensionMismatch(f"operand shapes differ: {u.shape} vs {v.shape}")
 
 
-def superpose(u: Vector, v: Vector) -> Vector:
-    """Elementwise sum of two equal-dimension vectors."""
-    _check_pair(u, v)
-    return u + v
-
-
 def bind(u: Vector, v: Vector) -> Vector:
     """Circular convolution of ``u`` and ``v``.
 
@@ -218,15 +210,6 @@ def normalize(v: Vector) -> Vector:
 def permute(v: Vector, perm: Permutation, *, inverse: bool = False) -> Vector:
     """Apply the session permutation (or its exact inverse) to ``v``."""
     return perm.inverse(v) if inverse else perm.forward(v)
-
-
-def reject(u: Vector, v: Vector) -> Vector:
-    """Component of ``u`` orthogonal to ``v``."""
-    _check_pair(u, v)
-    nv = v @ v
-    if nv == 0.0:
-        raise DegenerateVector("rejection against a zero vector")
-    return u - (u @ v / nv) * v
 
 
 def saturating_add(a: Callable[[], Vector], b: Callable[[], Vector], t: Thresholds) -> Vector:

@@ -3,6 +3,7 @@ update rules, and the binary snapshot format."""
 import numpy as np
 import pytest
 
+from veclisp import cleanup
 from veclisp.cleanup import KINDS, CleanupMemory, ConvergenceError, EmptyMemoryError
 
 
@@ -261,7 +262,7 @@ def test_screened_recall_returns_the_float64_argmax_row():
     rng = np.random.default_rng(24)
     n = 512
     mem = ScreenCounting(n)
-    rows = unit_rows(rng, 40, n)
+    rows = unit_rows(rng, 80, n)  # past the row floor of ranking through the screen
     mem.extend(rows)
     mem.append(rows[7], dedup=False)  # an exact duplicate of row 7
     mem.append(rows[11] + rng.normal(0.0, 1e-9, n), dedup=False)  # a near twin of row 11
@@ -297,7 +298,7 @@ def test_screened_recall_returns_the_float64_argmax_row():
             assert mem.recall_hopfield(p).tobytes() == reference_hopfield(p).tobytes()
             assert mem.recall_grossberg(p).tobytes() == reference_grossberg(p).tobytes()
 
-    clear = [rows[i] + rng.normal(0.0, 0.02, n) for i in range(40) if i not in (7, 11)]
+    clear = [rows[i] + rng.normal(0.0, 0.02, n) for i in range(80) if i not in (7, 11)]
     check(clear)
     assert mem.full_activations == 0  # the screen decided every clear winner
     ties = [rows[7] + rng.normal(0.0, 0.02, n), rows[11] + rng.normal(0.0, 0.02, n), tie_probe]
@@ -310,10 +311,102 @@ def test_screened_recall_returns_the_float64_argmax_row():
     check(clear[:5] + ties)
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN and infinite probes and rows
+def test_screened_shortlist_is_the_float64_argsort():
+    rng = np.random.default_rng(27)
+    n = 512
+    mem = ScreenCounting(n)
+    mem.extend(unit_rows(rng, 70, n))
+    margin = mem._margin
+    calls = 0
+
+    def check(p, k=3):
+        nonlocal calls
+        calls += 1
+        want = np.argsort(mem.traces @ p)[::-1][:k]
+        assert mem.shortlist(p, k).tolist() == want.tolist()
+
+    def planted(p, gaps):
+        # Rows whose activations against the unit probe p step down from 0.9
+        # by gap * margin each; the screen's bound on one row is about margin.
+        c, out = 0.9, []
+        for g in (0.0,) + gaps:
+            c -= g * margin
+            q = rng.normal(0.0, 1.0, n)
+            q -= (q @ p) * p
+            out.append(c * p + np.sqrt(1.0 - c * c) * q / np.linalg.norm(q))
+        return out
+
+    for _ in range(300):
+        p = unit_rows(rng, 1, n)[0]
+        gaps = tuple(rng.choice([-2.0, -0.5, -1e-5, 1e-5, 0.5, 2.0, 50.0], size=3))
+        rows = planted(p, gaps)
+        for i, r in zip(rng.choice(len(mem), size=len(rows), replace=False), rows):
+            mem.set_row(i, r)
+        for k in (1, 3, 4):
+            check(p, k)
+        check(p + rng.normal(0.0, 0.02, n))
+    # Exact ties: a duplicate of the top row, and distinct rows that tie.
+    p = unit_rows(rng, 1, n)[0]
+    top = planted(p, (100.0,))
+    mem.set_row(0, top[0])
+    mem.set_row(1, top[1])
+    mem.append(top[0], dedup=False)
+    check(p)
+    signs = np.where(rng.random(n) < 0.5, -1.0, 1.0) / 16.0
+    flipped = signs.copy()
+    flipped[0] = -flipped[0]
+    mem.append(flipped, dedup=False)
+    mem.append(signs, dedup=False)
+    tie_probe = signs.copy()
+    tie_probe[0] = 0.0
+    check(tie_probe)
+    for k in (0, len(mem) - 1, len(mem), len(mem) + 5):
+        check(p, k)
+    for kind in range(6):
+        check(out_of_range(p, kind))
+    # One out-of-range row turns the screen off; a row of NaNs makes NaN
+    # activations, which the float64 sort places as it always has.
+    for bad in (1e20 * p, np.full(n, np.inf), np.full(n, np.nan)):
+        mem.set_row(5, bad)
+        check(p)
+        check(p + rng.normal(0.0, 0.02, n))
+    # Stores of at most k rows.
+    for m in (1, 2, 3):
+        small = CleanupMemory(n)
+        small.extend(unit_rows(rng, m, n))
+        q = rng.normal(0.0, 1.0, n)
+        assert small.shortlist(q, 3).tolist() == np.argsort(small.traces @ q)[::-1][:3].tolist()
+    with pytest.raises(EmptyMemoryError):
+        CleanupMemory(n).shortlist(p, 3)
+    # Both the screen's own answers and the float64 fall-through ran.
+    assert 0 < mem.full_activations < calls
+
+
+def test_ranking_screens_only_from_the_row_floor():
+    rng = np.random.default_rng(28)
+    n = 512
+    floor = cleanup._RANK_SCREEN_MIN_ROWS
+    mem = ScreenCounting(n)
+    rows = unit_rows(rng, floor + 1, n)
+    mem.extend(rows[: floor - 1])
+    p = rows[5] + rng.normal(0.0, 0.02, n)
+    assert np.array_equal(mem.recall_lookup(p), rows[5])
+    assert mem.shortlist(p, 3)[0] == 5
+    assert mem.full_activations == 2  # both ranked in float64
+    mem.append(rows[floor - 1])
+    assert mem.dedup_checks == 1 and mem.dedup_scans == 0  # dedup screens below the floor
+    assert len(mem) == floor
+    assert np.array_equal(mem.recall_lookup(p), rows[5])
+    assert mem.shortlist(p, 3)[0] == 5
+    assert mem.full_activations == 2  # both ranked by the screen
+
+
 def test_mirror_follows_updates_and_snapshots():
     rng = np.random.default_rng(25)
     n = 512
-    mem = filled(rng, m=30, n=n, eta=1.0)
+    m = 70  # past the row floor of ranking through the screen
+    mem = filled(rng, m=m, n=n, eta=1.0)
 
     def agrees(target, memory):
         p = target + rng.normal(0.0, 0.02, n)
@@ -323,13 +416,13 @@ def test_mirror_follows_updates_and_snapshots():
     # RC moves every row onto another row's old place; a stale mirror would
     # still pick the old places.
     before = mem.traces.copy()
-    perm = np.roll(np.arange(30), 1)
+    perm = np.roll(np.arange(m), 1)
     mem.apply_update(before[0], before - before[perm], "RC")
-    for i in range(30):
+    for i in range(m):
         agrees(before[perm[i]], mem)
     # RG rewrites the selected row alone.
     new = unit_rows(rng, 1, n)[0]
-    grad = np.zeros((30, n))
+    grad = np.zeros((m, n))
     grad[4] = mem.traces[4] - new
     mem.apply_update(mem.traces[4], grad, "RG")
     agrees(new, mem)
@@ -338,10 +431,10 @@ def test_mirror_follows_updates_and_snapshots():
     mem.set_row(9, fresh)
     agrees(fresh, mem)
     back = CleanupMemory.from_bytes(mem.to_bytes())
-    for i in range(30):
+    for i in range(m):
         agrees(mem.traces[i], back)
-    back.extend(unit_rows(rng, 40, n))  # past the snapshot's capacity
-    for i in range(70):
+    back.extend(unit_rows(rng, 80, n))  # past the snapshot's capacity
+    for i in range(m + 80):
         agrees(back.traces[i], back)
 
 

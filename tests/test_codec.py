@@ -120,6 +120,86 @@ def test_decode_round_trip_over_random_trees():
     assert exact == 50
 
 
+class CountingMemory(CleanupMemory):
+    """A store counting its shortlists and the float64 scans behind them."""
+
+    shortlists = full_scans = 0
+
+    def shortlist(self, p, k):
+        self.shortlists += 1
+        return super().shortlist(p, k)
+
+    def activations(self, p):
+        self.full_scans += 1
+        return super().activations(p)
+
+
+def reference_decode(v, mem, reg, t, depth=codec.DECODE_DEPTH_LIMIT):
+    """Reference decoder: float64 shortlists, and a 3x3 loop that rebinds both halves per split."""
+    tags = TagSet.from_registry(reg)
+
+    def shortlist(probe):
+        order = np.argsort(mem.activations(probe))[::-1][: codec.DECODE_SHORTLIST]
+        return [mem.traces[i].copy() for i in order]
+
+    def walk(v, depth):
+        if depth <= 0:
+            raise DecodeError("decode divergence: depth limit exceeded")
+        if codec.is_atomic_vec(v, tags, t):
+            return Atom(reg.nearest(v)[0])
+        best_sim = -np.inf
+        best = None
+        for left in shortlist(hrr.unbind(tags.left, v)):
+            for right in shortlist(hrr.unbind(tags.right, v)):
+                rebuilt = hrr.bind(tags.left, left) + hrr.bind(tags.right, right) + tags.phi
+                s = hrr.similarity(rebuilt, v)
+                if s > best_sim:
+                    best_sim = s
+                    best = (left, right)
+        return Pair(walk(best[0], depth - 1), walk(best[1], depth - 1))
+
+    return walk(v, depth)
+
+
+def test_decode_matches_the_reference_decoder_on_a_crowded_store():
+    import random
+
+    n = 256  # small enough that a shared store decodes some trees wrong
+    reg = AtomRegistry(n, seed=7)
+    mem = CountingMemory(n)
+    names = list("ABCDEFGHJK")
+
+    def tree(rng, depth):
+        if depth == 0 or rng.random() < 0.3:
+            return Atom(rng.choice(names))
+        return Pair(tree(rng, depth - 1), tree(rng, depth - 1))
+
+    rng = random.Random(5)
+    trees = [tree(rng, 5) for _ in range(50)]
+    vecs = [codec.encode(t, reg, mem) for t in trees]
+    noise = np.random.default_rng(8)
+    probes = vecs + [v + noise.normal(0.0, 0.05, n) for v in vecs[::3]]
+
+    def outcome(decoder, v):
+        try:
+            return repr(decoder(v, mem, reg, THRESH))
+        except DecodeError as exc:
+            return f"DecodeError: {exc}"
+
+    results = []
+    scans = 0
+    for v in probes:
+        before = mem.full_scans
+        got = outcome(codec.decode, v)
+        scans += mem.full_scans - before
+        results.append(got)
+        assert got == outcome(reference_decode, v)
+    # Wrong trees and decode divergences both occur, and are reproduced.
+    assert any(got != repr(t) and not got.startswith("DecodeError") for got, t in zip(results, trees))
+    assert any(got.startswith("DecodeError") for got in results)
+    assert 0 < scans < mem.shortlists  # the screen decided some shortlists, the float64 sort the rest
+
+
 def test_decode_depth_limit_stops_self_reference():
     reg, tags, _ = fresh()
     mem = CleanupMemory(DIM)

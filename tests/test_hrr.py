@@ -120,30 +120,12 @@ def test_similarity_rejects_dimension_mismatch():
         hrr.similarity(np.zeros(4), np.zeros(5))
 
 
-def test_superpose_adds_componentwise():
-    out = hrr.superpose(np.array([1.0, 2.0]), np.array([3.0, 4.0]))
-    assert np.array_equal(out, [4.0, 6.0])
-    with pytest.raises(DimensionMismatch):
-        hrr.superpose(np.zeros(2), np.zeros(3))
-
-
 def test_normalize_unit_norm_and_zero_error():
     rng = np.random.default_rng(10)
     u = rng.normal(0.0, 1.0, 100)
     assert abs(np.linalg.norm(hrr.normalize(u)) - 1.0) < 1e-12
     with pytest.raises(DegenerateVector):
         hrr.normalize(np.zeros(5))
-
-
-def test_reject_removes_the_parallel_component():
-    rng = np.random.default_rng(11)
-    u = rng.normal(0.0, 1.0, 64)
-    v = rng.normal(0.0, 1.0, 64)
-    r = hrr.reject(u, v)
-    assert abs(r @ v) < 1e-9
-    assert np.abs(hrr.reject(v, v)).max() < 1e-12
-    with pytest.raises(DegenerateVector):
-        hrr.reject(u, np.zeros(64))
 
 
 # -- thresholds and the lazy add -------------------------------------------------
