@@ -51,6 +51,14 @@ _U32 = 2.0**-24
 # rows (29 us in float64 against 20 screened), so dedup has no floor.
 _RANK_SCREEN_MIN_ROWS = 64
 
+# The float32 screen keeps each row's first _HEAD_COLS coordinates in one block
+# and the rest in another.  Dedup bounds every row's cosine from the head block
+# and the float64 norm of the row's tail (Cauchy-Schwarz), and screens in full
+# only the rows that bound can still reach the threshold.  At dim 2048 the tail
+# carries about 1792/2048 of a random row's energy, so an unrelated row bounds
+# near 0.88 and few rows survive a 0.99 threshold.
+_HEAD_COLS = 256
+
 
 def _screen_margin(dim: int) -> float:
     """Bound on |float32 dot - float64 dot| per unit of ||r|| * ||p||.
@@ -62,6 +70,17 @@ def _screen_margin(dim: int) -> float:
     """
     k = (dim + 2) * _U32
     return k / (1.0 - k) + 8 * dim * _EPS
+
+
+def _bound_slack(dim: int) -> float:
+    """Relative slack for the float64 rounding of the dedup pre-screen's bound.
+
+    It covers the tail norms' and the row norms' rounding (each at most about
+    (dim/2 + 2) eps64 relative), the bound's own additions and division, and
+    float64 underflow in the tails' squared norms, which costs far less than
+    eps64 of a norm product of at least 2**-100.
+    """
+    return 4 * (dim + 2) * _EPS
 
 
 class EmptyMemoryError(RuntimeError):
@@ -104,14 +123,27 @@ class CleanupMemory:
     carried inertly when the kind does not use them.
 
     Scans are screened through a float32 copy of the rows, which costs 4 bytes
-    per stored coordinate on top of the 8 of the float64 rows.  A float32 dot
-    product of a row r and a probe p differs from the float64 one by at most
+    per stored coordinate on top of the 8 of the float64 rows, kept as a head
+    block of the first K = min(256, dim) coordinates and a tail block of the
+    rest, plus the float64 norm of each row's tail.  A float32 dot product of
+    a row r and a probe p differs from the float64 one by at most
     ``margin * ||r|| * ||p||``, where ``margin`` is gamma_{dim+2} in float32
-    units plus a few dim * eps64 (about 1.22e-4 at dim 2048).  Dedup takes the
-    screened cosine maximum s: s >= threshold + margin is a duplicate, s <
-    threshold - margin is stored, and only the band between runs the float64
-    scan.  ``recall_lookup`` returns the float32 argmax row when its activation
-    minus its error bound exceeds every other row's activation plus that row's
+    units plus a few dim * eps64 (about 1.22e-4 at dim 2048).
+
+    Dedup first rules rows out from the head block alone.  By Cauchy-Schwarz
+    r[K:].t[K:] <= ||r[K:]|| ||t[K:]||, so a row can reach the threshold only
+    if (head32 + ||r[K:]|| ||t[K:]|| (1 + delta)) / (||r|| ||t||) >= threshold
+    - margin - delta, where head32 is the float32 dot product of the heads and
+    delta a few dim * eps64 for the float64 rounding of the bound itself.  No
+    survivor means the trace is stored; the survivors alone are gathered and
+    screened in full.  Of their screened cosine maximum s: s >= threshold +
+    margin is a duplicate, s < threshold - margin is stored, and only the band
+    between runs the float64 scan, over the survivors.  A trace outside the
+    float32 screen's range skips the bound and runs the float64 scan over
+    every row.
+
+    ``recall_lookup`` returns the float32 argmax row when its activation minus
+    its error bound exceeds every other row's activation plus that row's
     bound; otherwise the float64 activations decide, with their lowest-index
     tie-breaking.  ``shortlist`` returns the float32 top k when every row's
     lower bound is above the next one's upper bound and the k-th's is above
@@ -150,12 +182,17 @@ class CleanupMemory:
         self.max_iters = int(max_iters)
         self.tol = float(tol)
         self.dedup_threshold = float(dedup_threshold)
+        self._k = min(_HEAD_COLS, self.dim)
         self._buf = np.empty((16, dim))
-        self._buf32 = np.empty((16, dim), dtype=np.float32)
-        # Norms of the float64 rows, whatever dtype a caller stored: the
-        # screen's bound needs them accurate to float64 rounding.
+        self._head32 = np.empty((16, self._k), dtype=np.float32)
+        self._tail32 = np.empty((16, dim - self._k), dtype=np.float32)
+        # Norms of the float64 rows and of their tails, whatever dtype a
+        # caller stored: the screen's bounds need them accurate to float64
+        # rounding.
         self._norms = np.empty(16)
+        self._tail_norms = np.empty(16)
         self._margin = _screen_margin(self.dim)
+        self._slack = _bound_slack(self.dim)
         self._m = 0
         # hash of a row's bytes -> indices of the rows with that hash
         self._index: dict[int, list[int]] = {}
@@ -175,23 +212,25 @@ class CleanupMemory:
             return
         while cap < needed:
             cap *= 2
-        buf = np.empty((cap, self.dim))
-        buf32 = np.empty((cap, self.dim), dtype=np.float32)
-        norms = np.empty(cap)
-        buf[: self._m] = self._buf[: self._m]
-        buf32[: self._m] = self._buf32[: self._m]
-        norms[: self._m] = self._norms[: self._m]
-        self._buf = buf
-        self._buf32 = buf32
-        self._norms = norms
+        for name in ("_buf", "_head32", "_tail32", "_norms", "_tail_norms"):
+            old = getattr(self, name)
+            new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
+            new[: self._m] = old[: self._m]
+            setattr(self, name, new)
 
     def _mirror(self, start: int, stop: int) -> None:
-        """Copy rows ``start:stop`` into the float32 screen."""
+        """Copy rows ``start:stop`` into the float32 screen and record their tail norms."""
+        rows = self._buf[start:stop]
         with np.errstate(over="ignore"):  # rows past float32 range are never screened
-            self._buf32[start:stop] = self._buf[start:stop]
+            self._head32[start:stop] = rows[:, : self._k]
+            self._tail32[start:stop] = rows[:, self._k :]
+        self._tail_norms[start:stop] = np.linalg.norm(rows[:, self._k :], axis=1)
 
-    def _index_add(self, i: int) -> None:
-        self._index.setdefault(_row_key(self._buf[i]), []).append(i)
+    def _index_add(self, i: int, key: int | None = None) -> None:
+        """Index row ``i`` under ``key``, which must be its row key if given."""
+        if key is None:
+            key = _row_key(self._buf[i])
+        self._index.setdefault(key, []).append(i)
 
     def _index_move(self, i: int, old: int) -> None:
         """Re-key row ``i`` after an overwrite; ``old`` is its key from before."""
@@ -206,12 +245,15 @@ class CleanupMemory:
         for i in range(self._m):
             self._index_add(i)
 
-    def _stores_exactly(self, t: Vector, tn: float) -> bool:
-        """Whether ``t`` is a stored row that the dedup scan is sure to find."""
+    def _stores_exactly(self, t: Vector, tn: float, key: int | None) -> bool:
+        """Whether ``t`` is a stored row that the dedup scan is sure to find.
+
+        ``key`` is the row key of ``t`` if ``t`` is float64, else None.
+        """
         exact_rows_pass = self.dedup_threshold <= 1.0 - 4 * self.dim * _EPS
-        if not (exact_rows_pass and t.dtype == np.float64 and _NORM_MIN < tn < _NORM_MAX):
+        if not (exact_rows_pass and key is not None and _NORM_MIN < tn < _NORM_MAX):
             return False
-        return any(np.array_equal(self._buf[i], t) for i in self._index.get(_row_key(t), ()))
+        return any(np.array_equal(self._buf[i], t) for i in self._index.get(key, ()))
 
     def _screens(self, p: Vector, pn: float) -> bool:
         """Whether the float32 screen's error bound holds for probe ``p`` of norm ``pn``."""
@@ -225,40 +267,57 @@ class CleanupMemory:
 
     def _screened(self, p: Vector) -> Vector:
         """Float32 activations of every stored row against ``p``, as float64."""
-        return (self._buf32[: self._m] @ p.astype(np.float32)).astype(np.float64)
+        p32 = p.astype(np.float32)
+        m, k = self._m, self._k
+        return (self._head32[:m] @ p32[:k] + self._tail32[:m] @ p32[k:]).astype(np.float64)
 
     def _is_duplicate(self, t: Vector, tn: float) -> bool:
         """Whether some stored row's cosine with ``t`` reaches the threshold."""
-        if self._screens(t, tn):
-            best = (self._screened(t) / (self._norms[: self._m] * tn)).max()
-            if best >= self.dedup_threshold + self._margin:
-                return True
-            if best < self.dedup_threshold - self._margin:
-                return False
-        return self._scan_duplicate(t, tn)
+        m, k = self._m, self._k
+        if not self._screens(t, tn):
+            return self._scan_duplicate(t, tn, slice(0, m))
+        t32 = t.astype(np.float32)
+        head = self._head32[:m] @ t32[:k]
+        denom = self._norms[:m] * tn
+        # Cauchy-Schwarz on the tails: a row whose bound misses the threshold
+        # cannot reach it in the float64 scan, screened or not.
+        tail_bound = self._tail_norms[:m] * (np.linalg.norm(t[k:]) * (1.0 + self._slack))
+        reach = (head + tail_bound) / denom
+        live = np.flatnonzero(reach >= self.dedup_threshold - self._margin - self._slack)
+        if live.size == 0:
+            return False
+        tail = self._tail32[live] @ t32[k:]
+        best = ((head[live] + tail).astype(np.float64) / denom[live]).max()
+        if best >= self.dedup_threshold + self._margin:
+            return True
+        if best < self.dedup_threshold - self._margin:
+            return False
+        return self._scan_duplicate(t, tn, live)
 
-    def _scan_duplicate(self, t: Vector, tn: float) -> bool:
-        """The float64 dedup scan: cosine of ``t`` with every stored row."""
+    def _scan_duplicate(self, t: Vector, tn: float, rows: slice | np.ndarray) -> bool:
+        """The float64 dedup scan: cosine of ``t`` with the stored rows ``rows``."""
         if not tn > 0.0:
             return False
-        denom = self._norms[: self._m] * tn
+        denom = self._norms[rows] * tn
         with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.where(denom > 0.0, (self.traces @ t) / denom, 0.0)
+            sims = np.where(denom > 0.0, (self._buf[rows] @ t) / denom, 0.0)
         return bool((sims >= self.dedup_threshold).any())
 
     def append(self, t: Vector, *, dedup: bool = True) -> "CleanupMemory":
         """Append one trace; a near-duplicate of an existing row is a no-op."""
         if t.shape != (self.dim,):
             raise ValueError(f"trace shape {t.shape} does not match dim {self.dim}")
+        # A float64 trace is stored byte for byte, so its key is the new row's.
+        key = _row_key(t) if t.dtype == np.float64 else None
         if dedup and self._m > 0:
             tn = np.linalg.norm(t)
-            if self._stores_exactly(t, tn) or self._is_duplicate(t, tn):
+            if self._stores_exactly(t, tn, key) or self._is_duplicate(t, tn):
                 return self
         self._grow_to(self._m + 1)
         self._buf[self._m] = t
         self._mirror(self._m, self._m + 1)
         self._norms[self._m] = np.linalg.norm(self._buf[self._m])
-        self._index_add(self._m)
+        self._index_add(self._m, key)
         self._m += 1
         return self
 

@@ -9,7 +9,9 @@ the ordinary atoms of those names.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -45,7 +47,14 @@ class DecodeError(RuntimeError):
 
 @dataclass(frozen=True)
 class TagSet:
-    """The reserved vectors every session shares: roles, markers, constants."""
+    """The reserved vectors every session shares: roles, markers, constants.
+
+    Every bind and unbind of the codec and the evaluator has a role tag, L or
+    R, as its first operand.  On first use the tag set computes the real FFT
+    of each role tag and of its involution and keeps them; ``bind`` and
+    ``unbind`` use them and return bitwise what ``hrr.bind`` and
+    ``hrr.unbind`` return.
+    """
 
     left: Vector
     right: Vector
@@ -56,23 +65,48 @@ class TagSet:
     false: Vector
     done: Vector
 
+    @cached_property
+    def _roles(self) -> dict[int, tuple[np.ndarray, Vector, np.ndarray]]:
+        """id of a role tag -> its spectrum, its involution and the involution's spectrum."""
+        roles = {}
+        for tag in (self.left, self.right):
+            inverse = hrr.involution(tag)
+            roles[id(tag)] = (np.fft.rfft(tag), inverse, np.fft.rfft(inverse))
+        return roles
+
     @classmethod
     def from_registry(cls, registry: AtomRegistry) -> "TagSet":
-        return cls(
-            left=registry.vector(L_NAME),
-            right=registry.vector(R_NAME),
-            phi=registry.vector(PHI_NAME),
-            rho=registry.vector(RHO_NAME),
-            nil=registry.vector("NIL"),
-            true=registry.vector("T"),
-            false=registry.vector("F"),
-            done=registry.vector(DONE_NAME),
-        )
+        """The registry's tag set, built once per registry."""
+        tags = _TAG_SETS.get(registry)
+        if tags is None:
+            tags = _TAG_SETS[registry] = cls(
+                left=registry.vector(L_NAME),
+                right=registry.vector(R_NAME),
+                phi=registry.vector(PHI_NAME),
+                rho=registry.vector(RHO_NAME),
+                nil=registry.vector("NIL"),
+                true=registry.vector("T"),
+                false=registry.vector("F"),
+                done=registry.vector(DONE_NAME),
+            )
+        return tags
+
+    def bind(self, role: Vector, v: Vector) -> Vector:
+        """``hrr.bind(role, v)`` for ``role`` the tag set's ``left`` or ``right``."""
+        return hrr.bind(role, v, spectrum=self._roles[id(role)][0])
+
+    def unbind(self, role: Vector, w: Vector) -> Vector:
+        """``hrr.unbind(role, w)`` for ``role`` the tag set's ``left`` or ``right``."""
+        _, inverse, spectrum = self._roles[id(role)]
+        return hrr.bind(inverse, w, spectrum=spectrum)
+
+
+_TAG_SETS: "weakref.WeakKeyDictionary[AtomRegistry, TagSet]" = weakref.WeakKeyDictionary()
 
 
 def cons_vec(a: Vector, b: Vector, tags: TagSet, mem: CleanupMemory) -> Vector:
     """Pair constructor: normalize(L*a + R*b + PHI), storing a and b as traces."""
-    out = hrr.normalize(hrr.bind(tags.left, a) + hrr.bind(tags.right, b) + tags.phi)
+    out = hrr.normalize(tags.bind(tags.left, a) + tags.bind(tags.right, b) + tags.phi)
     mem.append(a)
     mem.append(b)
     return out
@@ -147,13 +181,13 @@ def _best_split(v: Vector, mem: CleanupMemory, tags: TagSet) -> tuple[Vector, Ve
     its bound vector reused across the other half's list; the candidates die
     with this frame, before the halves are decoded.
     """
-    lefts = _shortlist(mem, hrr.unbind(tags.left, v))
-    rights = _shortlist(mem, hrr.unbind(tags.right, v))
-    bound_rights = [hrr.bind(tags.right, right) for right in rights]
+    lefts = _shortlist(mem, tags.unbind(tags.left, v))
+    rights = _shortlist(mem, tags.unbind(tags.right, v))
+    bound_rights = [tags.bind(tags.right, right) for right in rights]
     best_sim = -np.inf
     best = None
     for left in lefts:
-        bound_left = hrr.bind(tags.left, left)
+        bound_left = tags.bind(tags.left, left)
         for right, bound_right in zip(rights, bound_rights):
             s = hrr.similarity(bound_left + bound_right + tags.phi, v)
             if s > best_sim:

@@ -118,8 +118,11 @@ class EvalSession:
         # blends or probes.  Produced vectors are bit-identical either way.
         # ``_trees`` maps the hash of a vector's bytes to the (vector, tree)
         # entries with that hash; a vector is known only when bitwise equal to
-        # one held there.
+        # one held there.  ``_held`` maps the id of each held vector to its
+        # tree: held vectors stay alive and read-only, so an id found there
+        # names the same bytes, and most lookups pass the held object itself.
         self._trees: dict[int, list[tuple[Vector, SExpr]]] = {}
+        self._held: dict[int, SExpr] = {}
         self._vecs: dict[SExpr, Vector] = {}
         for nm in ("NIL", "T", "F", codec.DONE_NAME):
             self._remember(self.registry.vector(nm), Atom(nm))
@@ -132,9 +135,12 @@ class EvalSession:
 
     def _known(self, v: Vector) -> SExpr | None:
         """The tree behind a vector bitwise equal to ``v``, if the session built one."""
+        tree = self._held.get(id(v))
+        if tree is not None:
+            return tree
         raw = v.tobytes()
         for held, tree in self._trees.get(hash(raw), ()):
-            if held is v or held.tobytes() == raw:
+            if held.tobytes() == raw:
                 return tree
         return None
 
@@ -146,6 +152,7 @@ class EvalSession:
             # The shadow holds ``v`` itself, so an in-place write must fail.
             v.flags.writeable = False
             bucket.append((v, tree))
+            self._held[id(v)] = tree
 
     def is_atomic(self, v: Vector) -> bool:
         return codec.is_atomic_vec(v, self.tags, self.thresholds)
@@ -209,13 +216,13 @@ class EvalSession:
         t = self._known(c)
         if isinstance(t, Pair):
             return self.encode(t.left)
-        return self.mem.recall(hrr.unbind(self.tags.left, c))
+        return self.mem.recall(self.tags.unbind(self.tags.left, c))
 
     def cdr(self, c: Vector) -> Vector:
         t = self._known(c)
         if isinstance(t, Pair):
             return self.encode(t.right)
-        return self.mem.recall(hrr.unbind(self.tags.right, c))
+        return self.mem.recall(self.tags.unbind(self.tags.right, c))
 
     def eq(self, a: Vector, b: Vector) -> Vector:
         s = hrr.similarity(a, b)
@@ -430,7 +437,7 @@ class EvalSession:
         if len(self.fns) == 0:
             self._log("fcall", "miss")
             return self.cons(f, a), False
-        entry = self.fns.store.recall(hrr.bind(self.tags.left, f))
+        entry = self.fns.store.recall(self.tags.bind(self.tags.left, f))
         gate = hrr.similarity(f, self.car(entry))
 
         def hit() -> Vector:

@@ -154,16 +154,18 @@ def _check_pair(u: Vector, v: Vector) -> None:
         raise DimensionMismatch(f"operand shapes differ: {u.shape} vs {v.shape}")
 
 
-def bind(u: Vector, v: Vector) -> Vector:
+def bind(u: Vector, v: Vector, *, spectrum: np.ndarray | None = None) -> Vector:
     """Circular convolution of ``u`` and ``v``.
 
     Computed through the real FFT, which matches the naive O(n^2) sum to within
     accumulated rounding (well under 1e-9 for the dimensions used here) and is
-    exactly commutative.
+    exactly commutative.  A caller that binds one fixed ``u`` many times (a
+    role tag) may pass ``spectrum=np.fft.rfft(u)``, computed once; the result
+    is bitwise the same.
     """
     _check_pair(u, v)
     n = u.shape[0]
-    fu = np.fft.rfft(u)
+    fu = np.fft.rfft(u) if spectrum is None else spectrum
     fv = np.fft.rfft(v)
     # The complex multiply ufunc may fuse with FMA, which breaks bitwise
     # symmetry under operand swap; the split form commutes exactly because

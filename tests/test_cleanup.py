@@ -179,9 +179,9 @@ class ScreenCounting(CleanupMemory):
         self.dedup_checks += 1
         return super()._is_duplicate(t, tn)
 
-    def _scan_duplicate(self, t, tn):
+    def _scan_duplicate(self, t, tn, rows):
         self.dedup_scans += 1
-        return super()._scan_duplicate(t, tn)
+        return super()._scan_duplicate(t, tn, rows)
 
     def activations(self, p):
         self.full_activations += 1
@@ -255,6 +255,55 @@ def test_float32_screen_stores_what_the_scan_stores(threshold):
         assert mem.traces.tobytes() == ref.traces.tobytes()
     # Both the screen's own decisions and the float64 fall-through ran.
     assert 0 < mem.dedup_scans < mem.dedup_checks
+
+
+@pytest.mark.parametrize("n", [512, 100])
+@pytest.mark.parametrize("threshold", [0.99, 0.5, 0.0])
+def test_prefix_bound_stores_what_the_scan_stores(threshold, n):
+    rng = np.random.default_rng(29)
+    k = min(cleanup._HEAD_COLS, n)
+    mem = ScreenCounting(n, dedup_threshold=threshold)
+    ref = ScanOnlyMemory(n, dedup_threshold=threshold)
+    margin = mem._margin
+    head = np.arange(n) < k
+
+    def confined(row, where):
+        # Keep only the head or only the tail of a row (all of it when the tail is empty).
+        if where is not None and (head == where).any():
+            row = np.where(head == where, row, 0.0)
+        return row / np.linalg.norm(row)
+
+    def planted():
+        # Cosine threshold +- c * margin with a stored row.  The orthogonal part
+        # lives in the head, in the tail or anywhere: a twin that differs only
+        # in the head has a tail parallel to the row's, where the tail bound is
+        # tight, so only the head's rounding separates it from the threshold.
+        r = mem.traces[rng.integers(len(mem))]
+        r = r / np.linalg.norm(r)
+        q = confined(rng.normal(0.0, 1.0, n), [True, False, None][rng.integers(3)])
+        q -= (q @ r) * r
+        q /= np.linalg.norm(q)
+        c = threshold + rng.choice([-2.0, -0.5, -1e-5, 1e-5, 0.5, 2.0]) * margin
+        return rng.uniform(0.5, 2.0) * (c * r + np.sqrt(1.0 - c * c) * q)
+
+    for _ in range(400):
+        op = rng.choice(4, p=[0.2, 0.2, 0.1, 0.5])
+        if op == 0:
+            t = unit_rows(rng, 1, n)[0]
+        elif op == 1:
+            # All the energy in the head or all in the tail.
+            t = rng.uniform(0.5, 2.0) * confined(rng.normal(0.0, 1.0, n), bool(rng.integers(2)))
+        elif op == 2:
+            t = mem.traces[rng.integers(len(mem))].copy()
+        else:
+            t = planted()
+        mem.append(t)
+        ref.append(t)
+        assert len(mem) == len(ref)
+        assert mem.traces.tobytes() == ref.traces.tobytes()
+    if threshold > 0.0:
+        # Both the screen's own decisions and the float64 fall-through ran.
+        assert 0 < mem.dedup_scans < mem.dedup_checks
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN probe
@@ -402,16 +451,31 @@ def test_ranking_screens_only_from_the_row_floor():
     assert mem.full_activations == 2  # both ranked by the screen
 
 
+def mirrored(memory):
+    """The float32 head and tail blocks, the norms and the row index follow the float64 rows."""
+    m, k, rows = len(memory), memory._k, memory.traces
+    assert memory._head32[:m].tobytes() == rows[:, :k].astype(np.float32).tobytes()
+    assert memory._tail32[:m].tobytes() == rows[:, k:].astype(np.float32).tobytes()
+    assert np.array_equal(memory._tail_norms[:m], np.linalg.norm(rows[:, k:], axis=1))
+    assert np.allclose(memory._norms[:m], np.linalg.norm(rows, axis=1), rtol=1e-14, atol=0.0)
+    index = {}
+    for i, row in enumerate(rows):
+        index.setdefault(hash(row.tobytes()), []).append(i)
+    assert {key: sorted(ix) for key, ix in memory._index.items()} == index
+
+
 def test_mirror_follows_updates_and_snapshots():
     rng = np.random.default_rng(25)
     n = 512
     m = 70  # past the row floor of ranking through the screen
     mem = filled(rng, m=m, n=n, eta=1.0)
+    mirrored(mem)
 
     def agrees(target, memory):
         p = target + rng.normal(0.0, 0.02, n)
         want = memory.traces[np.argmax(memory.traces @ p)]
         assert memory.recall_lookup(p).tobytes() == want.tobytes()
+        mirrored(memory)
 
     # RC moves every row onto another row's old place; a stale mirror would
     # still pick the old places.
@@ -436,6 +500,20 @@ def test_mirror_follows_updates_and_snapshots():
     back.extend(unit_rows(rng, 80, n))  # past the snapshot's capacity
     for i in range(m + 80):
         agrees(back.traces[i], back)
+    # RE reweights every row; single appends, float32 ones among them, grow
+    # the store past its capacity one row at a time.
+    mem.apply_update(mem.traces[3], rng.normal(0.0, 0.1, (m, n)), "RE")
+    agrees(mem.traces[3], mem)
+    for i, row in enumerate(unit_rows(rng, 70, n)):
+        mem.append(row.astype(np.float32) if i % 3 == 0 else row)
+        mirrored(mem)
+    mem.append(mem.traces[5].copy(), dedup=False)  # a second row under one key
+    agrees(mem.traces[5], mem)
+    small = CleanupMemory(100)  # the head block is the whole row
+    small.extend(unit_rows(rng, 20, 100))
+    small.set_row(3, unit_rows(rng, 1, 100)[0])
+    small.append(unit_rows(rng, 1, 100)[0])
+    mirrored(small)
 
 
 def test_set_row_overwrites_in_place():

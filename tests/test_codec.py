@@ -26,6 +26,19 @@ def test_tagset_is_deterministic_per_registry():
     assert np.array_equal(tags2.nil, reg2.vector("NIL"))
 
 
+def test_tagset_role_spectra_bind_bitwise_as_hrr_does():
+    reg, tags, _ = fresh(seed=5)
+    assert TagSet.from_registry(reg) is tags  # built once per registry
+    rng = np.random.default_rng(5)
+    for role in (tags.left, tags.right):
+        assert np.array_equal(hrr.bind(role, role, spectrum=np.fft.rfft(role)), hrr.bind(role, role))
+        for _ in range(5):
+            v = rng.normal(0.0, 1.0 / np.sqrt(DIM), DIM)
+            assert tags.bind(role, v).tobytes() == hrr.bind(role, v).tobytes()
+            assert tags.bind(role, v).tobytes() == hrr.bind(v, role).tobytes()
+            assert tags.unbind(role, v).tobytes() == hrr.unbind(role, v).tobytes()
+
+
 def test_cons_vec_matches_the_role_binding_formula():
     reg, tags, mem = fresh()
     a = reg.vector("A")

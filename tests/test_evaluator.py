@@ -36,6 +36,7 @@ def test_cons_halves_come_back_bit_identical():
 def test_the_shadow_knows_bitwise_copies_and_freezes_what_it_holds():
     sess = fresh()
     c = sess.cons(sess.encode(Atom("A")), sess.encode(Atom("B")))
+    assert sess._known(c) == Pair(Atom("A"), Atom("B"))  # the held object itself
     assert sess._known(c.copy()) == Pair(Atom("A"), Atom("B"))
     with pytest.raises(ValueError):
         c += 1.0  # an in-place write would silently corrupt the shadow
