@@ -13,7 +13,7 @@ from typing import Literal
 
 import numpy as np
 
-from .hrr import Vector
+from .hrr import Vector, _dots
 
 __all__ = [
     "KINDS",
@@ -105,6 +105,24 @@ def _row_key(row: Vector) -> int:
     return hash(row.tobytes())
 
 
+def _proven_top(acts: Vector, err: Vector, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each probe's top ``k`` screened rows, highest first, and whether the bounds prove them.
+
+    ``acts`` holds one row of screened activations per probe, ``err`` bounds
+    each one's distance from the float64 activation, and 0 < k < m.  The
+    proof needs each top row's lower bound above the next top row's upper
+    bound, and the k-th's above every other row's upper bound: then the
+    float64 order is strict there, and every sort returns these rows.
+    """
+    top = np.argpartition(acts, -k, axis=1)[:, -k:]
+    top = np.take_along_axis(top, np.argsort(np.take_along_axis(acts, top, 1), axis=1)[:, ::-1], 1)
+    upper = acts + err
+    lower = np.take_along_axis(acts - err, top, 1)
+    ordered = (lower[:, :-1] > np.take_along_axis(upper, top[:, 1:], 1)).all(axis=1)
+    np.put_along_axis(upper, top, -np.inf, 1)
+    return top, ordered & (lower[:, -1] > upper.max(axis=1))
+
+
 def _hardmax(z: Vector) -> int:
     # np.argmax already resolves ties toward the lowest index.
     return int(np.argmax(z))
@@ -147,8 +165,9 @@ class CleanupMemory:
     bound; otherwise the float64 activations decide, with their lowest-index
     tie-breaking.  ``shortlist`` returns the float32 top k when every row's
     lower bound is above the next one's upper bound and the k-th's is above
-    every other row's; otherwise the float64 activations are sorted.  The
-    screen applies only to a float64 probe whose norm, like every stored row's,
+    every other row's; otherwise the float64 activations are sorted.  A block
+    of probes is screened in one float32 matrix product, and each probe keeps
+    its own proof and its own float64 fallback.  The screen applies only to a float64 probe whose norm, like every stored row's,
     lies in [2**-50, 2**50], and recall and shortlists use it only from 64
     rows; otherwise the float64 scan runs.  Either way the stored rows,
     recalled rows and shortlists are those of the float64 scan.
@@ -255,21 +274,21 @@ class CleanupMemory:
             return False
         return any(np.array_equal(self._buf[i], t) for i in self._index.get(key, ()))
 
-    def _screens(self, p: Vector, pn: float) -> bool:
-        """Whether the float32 screen's error bound holds for probe ``p`` of norm ``pn``."""
-        norms = self._norms[: self._m]
-        return (
-            p.dtype == np.float64
-            and _SCREEN_MIN <= pn <= _SCREEN_MAX
-            and norms.min() >= _SCREEN_MIN
-            and norms.max() <= _SCREEN_MAX
-        )
+    def _screens(self, p: Vector, pn: float | Vector) -> bool | np.ndarray:
+        """Whether the float32 screen's error bound holds for probe ``p`` of norm ``pn``.
 
-    def _screened(self, p: Vector) -> Vector:
-        """Float32 activations of every stored row against ``p``, as float64."""
-        p32 = p.astype(np.float32)
+        For a block of probes ``pn`` holds their norms, and the answer is one
+        bool per probe.
+        """
+        norms = self._norms[: self._m]
+        rows_screen = p.dtype == np.float64 and norms.min() >= _SCREEN_MIN and norms.max() <= _SCREEN_MAX
+        return rows_screen & (_SCREEN_MIN <= pn) & (pn <= _SCREEN_MAX)
+
+    def _screened(self, probes: Vector) -> Vector:
+        """Float32 activations of every stored row against each probe of a block, as float64."""
+        p32 = probes.astype(np.float32)
         m, k = self._m, self._k
-        return (self._head32[:m] @ p32[:k] + self._tail32[:m] @ p32[k:]).astype(np.float64)
+        return (self._head32[:m] @ p32[:, :k].T + self._tail32[:m] @ p32[:, k:].T).T.astype(np.float64)
 
     def _is_duplicate(self, t: Vector, tn: float) -> bool:
         """Whether some stored row's cosine with ``t`` reaches the threshold."""
@@ -355,32 +374,26 @@ class CleanupMemory:
     def shortlist(self, p: Vector, k: int) -> np.ndarray:
         """Indices of the ``k`` rows of highest activation, highest first.
 
-        Always equal to ``np.argsort(self.activations(p))[::-1][:k]``.
+        Always equal to ``np.argsort(self.activations(p))[::-1][:k]``.  A
+        block of probes, of shape (n, dim), is ranked in one screened pass and
+        gives one row of indices per probe, each equal to that probe's
+        shortlist; a probe whose order the screen cannot prove is sorted from
+        its float64 activations alone.
         """
         self._require_nonempty()
-        order = self._screened_top(p, k)
-        if order is None:
-            order = np.argsort(self.activations(p))[::-1][:k]
-        return order
-
-    def _screened_top(self, p: Vector, k: int) -> np.ndarray | None:
-        """The float32 top ``k``, highest first, if the screen proves the order, else None.
-
-        The proof needs each row's lower bound above the next row's upper
-        bound, and the k-th's above every other row's upper bound: then the
-        float64 order is strict there, and every sort returns these rows.
-        """
-        bounded = self._ranked(p) if 0 < k < self._m else None
-        if bounded is None:
-            return None
-        acts, err = bounded
-        top = np.argpartition(acts, -k)[-k:]
-        top = top[np.argsort(acts[top])[::-1]]
-        lower = acts[top] - err[top]
-        upper = acts + err
-        ordered = (lower[:-1] > upper[top[1:]]).all()
-        upper[top] = -np.inf
-        return top if ordered and lower[-1] > upper.max() else None
+        probes = np.atleast_2d(p)
+        ranked = self._ranked(probes) if 0 < k < self._m else None
+        if ranked is None:
+            # As many indices per probe as the float64 slice [:k] keeps.
+            top = np.empty((len(probes), len(range(self._m)[:k])), dtype=np.intp)
+            proven = np.zeros(len(probes), dtype=bool)
+        else:
+            acts, err, screens = ranked
+            top, proven = _proven_top(acts, err, k)
+            proven &= screens
+        for i in np.flatnonzero(~proven):
+            top[i] = np.argsort(self.activations(probes[i]))[::-1][:k]
+        return top if p.ndim == 2 else top[0]
 
     def _require_nonempty(self) -> None:
         if self._m == 0:
@@ -408,21 +421,28 @@ class CleanupMemory:
             i = _hardmax(self.activations(p))
         return self.traces[i].copy()
 
-    def _ranked(self, p: Vector) -> tuple[Vector, Vector] | None:
-        """Screened activations against ``p`` and their error bounds, if the screen may rank rows."""
+    def _ranked(self, probes: Vector) -> tuple[Vector, Vector, np.ndarray] | None:
+        """Screened activations of a block of probes against every row and their error bounds.
+
+        Returns them with one flag per probe that says whether the screen may
+        rank that probe's rows, or None if it may rank none.
+        """
         if self._m < _RANK_SCREEN_MIN_ROWS:
             return None
-        pn = np.linalg.norm(p)
-        if not self._screens(p, pn):
+        pn = np.sqrt(_dots(probes, probes))  # bitwise np.linalg.norm of each probe
+        screens = self._screens(probes, pn)
+        if not screens.any():
             return None
-        return self._screened(p), self._margin * pn * self._norms[: self._m]
+        if not screens.all():  # zero the others, whose screened rows are never read
+            probes = np.where(screens[:, None], probes, 0.0)
+        return self._screened(probes), self._margin * pn[:, None] * self._norms[: self._m], screens
 
     def _screened_argmax(self, p: Vector) -> int | None:
         """The row of highest activation if the float32 screen proves it, else None."""
-        bounded = self._ranked(p)
-        if bounded is None:
+        ranked = self._ranked(p[None])
+        if ranked is None:
             return None
-        acts, err = bounded
+        acts, err = ranked[0][0], ranked[1][0]
         i = int(np.argmax(acts))
         rivals = acts + err
         rivals[i] = -np.inf

@@ -42,7 +42,7 @@ DECODE_DEPTH_LIMIT = 64
 
 
 class DecodeError(RuntimeError):
-    """Decoding walked deeper than the depth limit or hit an empty store."""
+    """Decoding walked deeper than the depth limit, or no split of a pair node scored a number."""
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ class TagSet:
     R, as its first operand.  On first use the tag set computes the real FFT
     of each role tag and of its involution and keeps them; ``bind`` and
     ``unbind`` use them and return bitwise what ``hrr.bind`` and
-    ``hrr.unbind`` return.
+    ``hrr.unbind`` return, for one vector or a stack of shape (n, dim).
     """
 
     left: Vector
@@ -112,8 +112,11 @@ def cons_vec(a: Vector, b: Vector, tags: TagSet, mem: CleanupMemory) -> Vector:
     return out
 
 
-def is_atomic_vec(v: Vector, tags: TagSet, t: Thresholds) -> bool:
-    """A vector is atomic when it carries no visible PHI component."""
+def is_atomic_vec(v: Vector, tags: TagSet, t: Thresholds) -> bool | np.ndarray:
+    """A vector is atomic when it carries no visible PHI component.
+
+    For a stack of vectors the answer is one bool per vector.
+    """
     return hrr.similarity(v, tags.phi) < t.theta_down
 
 
@@ -131,6 +134,12 @@ def _encode(e: SExpr, registry: AtomRegistry, mem: CleanupMemory, tags: TagSet) 
     return cons_vec(left, right, tags, mem)
 
 
+DECODE_SHORTLIST = 3
+# Pair nodes scored per product: at dim 2048 a chunk's (32, 3, 3, dim) float64
+# arrays of rebuilt splits take 4.7 MB each, however wide the level is.
+DECODE_SCORE_CHUNK = 32
+
+
 def decode(
     v: Vector,
     mem: CleanupMemory,
@@ -138,60 +147,80 @@ def decode(
     t: Thresholds,
     max_depth: int = DECODE_DEPTH_LIMIT,
 ) -> SExpr:
-    """Decode a vector back to a tree via nearest atoms and memory recall."""
+    """Decode a vector back to a tree via nearest atoms and memory recall.
+
+    An atomic vector decodes to its nearest registry atom; a pair node to the
+    split that ``_best_splits`` picks, whose halves are stored rows.  The walk
+    is a loop over tree levels, so Python's recursion limit does not bound the
+    depth of a tree, and each level holds only distinct vectors: the root,
+    then the distinct stored rows that the level above split into.  Each
+    level makes one atomicity test and one shortlist pass over the store,
+    whatever its width, and binds and scores its pair nodes
+    ``DECODE_SCORE_CHUNK`` at a time.  A row reached along several paths is
+    decoded once per level, so a divergent decode costs at most ``max_depth``
+    levels, each no wider than the store; it raises ``DecodeError`` when some
+    path is longer than ``max_depth``.
+    """
     tags = TagSet.from_registry(registry)
-    return _decode(v, mem, registry, t, tags, max_depth)
-
-
-DECODE_SHORTLIST = 3
-
-
-def _shortlist(mem: CleanupMemory, probe: Vector) -> list[Vector]:
-    return [mem.traces[i].copy() for i in mem.shortlist(probe, DECODE_SHORTLIST)]
-
-
-def _decode(
-    v: Vector,
-    mem: CleanupMemory,
-    registry: AtomRegistry,
-    t: Thresholds,
-    tags: TagSet,
-    depth: int,
-) -> SExpr:
-    if depth <= 0:
+    nodes = v[None]
+    # Per level above the last: each node's atom or None, the level's pair
+    # nodes and, for each, the next level's positions of its two halves.
+    levels = []
+    for _ in range(max_depth):
+        atomic = is_atomic_vec(nodes, tags, t)
+        trees: list[SExpr | None] = [
+            Atom(registry.nearest(x)[0]) if a else None for x, a in zip(nodes, atomic)
+        ]
+        pairs = np.flatnonzero(~atomic)
+        if pairs.size == 0:
+            break
+        rows, halves = np.unique(_best_splits(nodes[pairs], mem, tags), return_inverse=True)
+        levels.append((trees, pairs, halves.reshape(-1, 2)))
+        nodes = mem.traces[rows]
+    else:
         raise DecodeError("decode divergence: depth limit exceeded")
-    if is_atomic_vec(v, tags, t):
-        name, _ = registry.nearest(v)
-        return Atom(name)
-    left, right = _best_split(v, mem, tags)
-    return Pair(
-        _decode(left, mem, registry, t, tags, depth - 1),
-        _decode(right, mem, registry, t, tags, depth - 1),
-    )
+    for above, pairs, halves in reversed(levels):
+        for i, (left, right) in zip(pairs, halves):
+            above[i] = Pair(trees[left], trees[right])
+        trees = above
+    return trees[0]
 
 
-def _best_split(v: Vector, mem: CleanupMemory, tags: TagSet) -> tuple[Vector, Vector]:
-    """The shortlisted halves whose rebuilt pair is most similar to ``v``.
+def _best_splits(pairs: Vector, mem: CleanupMemory, tags: TagSet) -> np.ndarray:
+    """Stored row indices (left, right) of the best split of each pair node in ``pairs``.
 
     Deeply nested pairs rebind the same role tags, which makes their spectra
     spiky; a lone hardmax recall per half then occasionally prefers a sibling
-    row.  Re-encoding candidate halves and comparing against v picks the split
-    that actually reproduces it (the true halves rebuild v's exact direction, a
-    wrong half scores visibly lower).  Each candidate half is bound once and
-    its bound vector reused across the other half's list; the candidates die
-    with this frame, before the halves are decoded.
+    row.  So each node's unbound halves shortlist the ``DECODE_SHORTLIST``
+    rows of highest activation, and the node keeps the split whose rebuilt
+    ``L * a + R * b + PHI`` is most similar to it (the true halves rebuild its
+    exact direction, a wrong half scores visibly lower).  Every node's 2
+    probes share one shortlist pass; then, for each chunk of
+    ``DECODE_SCORE_CHUNK`` nodes, each role's candidates are bound in one
+    batch and one ``hrr.similarity`` product scores the k x k splits of every
+    node, so the rebuilt splits take memory for one chunk, not for the whole
+    level.  Ties go to the first split in left-major order, and a NaN score
+    never wins.
     """
-    lefts = _shortlist(mem, tags.unbind(tags.left, v))
-    rights = _shortlist(mem, tags.unbind(tags.right, v))
-    bound_rights = [tags.bind(tags.right, right) for right in rights]
-    best_sim = -np.inf
-    best = None
-    for left in lefts:
-        bound_left = tags.bind(tags.left, left)
-        for right, bound_right in zip(rights, bound_rights):
-            s = hrr.similarity(bound_left + bound_right + tags.phi, v)
-            if s > best_sim:
-                best_sim = s
-                best = (left, right)
-    assert best is not None
-    return best
+    n = len(pairs)
+    probes = np.concatenate([tags.unbind(tags.left, pairs), tags.unbind(tags.right, pairs)])
+    top = mem.shortlist(probes, DECODE_SHORTLIST)
+    lefts, rights = top[:n], top[n:]
+    chunks = [slice(i, i + DECODE_SCORE_CHUNK) for i in range(0, n, DECODE_SCORE_CHUNK)]
+    scores = np.concatenate([_split_scores(pairs[c], lefts[c], rights[c], mem, tags) for c in chunks])
+    scores[np.isnan(scores)] = -np.inf
+    if (scores == -np.inf).all(axis=1).any():
+        raise DecodeError("decode failed: every split of a pair node scores NaN")
+    best = scores.argmax(axis=1)
+    k = top.shape[1]
+    return np.stack([lefts[np.arange(n), best // k], rights[np.arange(n), best % k]], axis=1)
+
+
+def _split_scores(
+    pairs: Vector, lefts: np.ndarray, rights: np.ndarray, mem: CleanupMemory, tags: TagSet
+) -> Vector:
+    """Similarity of each pair node to its k x k splits rebuilt from stored rows, left-major."""
+    (n, k), dim = lefts.shape, pairs.shape[1]
+    bound_lefts = tags.bind(tags.left, mem.traces[lefts.ravel()]).reshape(n, k, 1, dim)
+    bound_rights = tags.bind(tags.right, mem.traces[rights.ravel()]).reshape(n, 1, k, dim)
+    return hrr.similarity(bound_lefts + bound_rights + tags.phi, pairs[:, None, None]).reshape(n, k * k)

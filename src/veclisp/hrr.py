@@ -79,7 +79,9 @@ class AtomRegistry:
         self.seed = int(seed)
         self._entries: dict[str, Vector] = {}
         self._lock = threading.Lock()
-        self._matrix: Vector | None = None
+        # The names, the stacked atom vectors and their norms, built on the
+        # first ``nearest`` after a new atom is drawn.
+        self._table: tuple[list[str], Vector, Vector] | None = None
 
     def vector(self, name: str) -> Vector:
         """Return the atom vector for ``name``, drawing and caching it on first use."""
@@ -93,7 +95,7 @@ class AtomRegistry:
                 got = rng.normal(0.0, 1.0 / np.sqrt(self.dim), self.dim)
                 got.flags.writeable = False
                 self._entries[name] = got
-                self._matrix = None
+                self._table = None
         return got
 
     def names(self) -> list[str]:
@@ -108,18 +110,19 @@ class AtomRegistry:
     def __iter__(self) -> Iterator[str]:
         return iter(self._entries)
 
-    def _snapshot(self) -> tuple[list[str], Vector]:
+    def _snapshot(self) -> tuple[list[str], Vector, Vector]:
         with self._lock:
-            if self._matrix is None:
-                self._matrix = np.stack([self._entries[k] for k in self._entries])
-            return list(self._entries), self._matrix
+            if self._table is None:
+                matrix = np.stack([self._entries[k] for k in self._entries])
+                self._table = list(self._entries), matrix, np.linalg.norm(matrix, axis=1)
+            return self._table
 
     def nearest(self, v: Vector) -> tuple[str, float]:
         """Name and cosine similarity of the registry atom most similar to ``v``."""
         if not self._entries:
             raise KeyError("empty atom registry")
-        names, matrix = self._snapshot()
-        norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(v)
+        names, matrix, atom_norms = self._snapshot()
+        norms = atom_norms * np.linalg.norm(v)
         with np.errstate(invalid="ignore", divide="ignore"):
             sims = np.where(norms > 0.0, matrix @ v / norms, 0.0)
         best = int(np.argmax(sims))
@@ -161,16 +164,18 @@ def bind(u: Vector, v: Vector, *, spectrum: np.ndarray | None = None) -> Vector:
     accumulated rounding (well under 1e-9 for the dimensions used here) and is
     exactly commutative.  A caller that binds one fixed ``u`` many times (a
     role tag) may pass ``spectrum=np.fft.rfft(u)``, computed once; the result
-    is bitwise the same.
+    is bitwise the same.  ``v`` may also be a stack of shape (m, n): row i of
+    the result is then bitwise ``bind(u, v[i])``, from one batch of FFTs.
     """
-    _check_pair(u, v)
+    if u.ndim != 1 or v.ndim > 2 or v.shape[-1:] != u.shape:
+        raise DimensionMismatch(f"cannot bind shape {v.shape} to shape {u.shape}")
     n = u.shape[0]
     fu = np.fft.rfft(u) if spectrum is None else spectrum
     fv = np.fft.rfft(v)
     # The complex multiply ufunc may fuse with FMA, which breaks bitwise
     # symmetry under operand swap; the split form commutes exactly because
     # IEEE multiplication and addition each do.
-    spec = np.empty(fu.shape, dtype=complex)
+    spec = np.empty(fv.shape, dtype=complex)
     spec.real = fu.real * fv.real - fu.imag * fv.imag
     spec.imag = fu.real * fv.imag + fu.imag * fv.real
     return np.fft.irfft(spec, n=n)
@@ -187,8 +192,20 @@ def unbind(u: Vector, w: Vector) -> Vector:
     return bind(involution(u), w)
 
 
-def similarity(u: Vector, v: Vector) -> float:
-    """Cosine similarity in [-1, 1]; zero whenever either operand has zero norm."""
+def similarity(u: Vector, v: Vector) -> float | np.ndarray:
+    """Cosine similarity in [-1, 1]; zero whenever either operand has zero norm.
+
+    Either operand may also be a stack of vectors, of shape (..., n), and the
+    two broadcast against each other: the result is then the array of the
+    pairs' similarities, each bitwise the float that two vectors give.
+    """
+    # Stacks take the array form below, which tests hold bitwise to this
+    # scalar body.  One pair keeps the scalar body: the array form makes about
+    # twice as many numpy calls per pair, and on the recursion benchmark,
+    # which makes about 100k one-pair calls per pass, it lowered the median
+    # ops_per_s of 10 runs by 13% (2-vCPU VM, one BLAS thread).
+    if u.ndim > 1 or v.ndim > 1:
+        return _similarities(u, v)
     _check_pair(u, v)
     nu = np.linalg.norm(u)
     nv = np.linalg.norm(v)
@@ -199,6 +216,28 @@ def similarity(u: Vector, v: Vector) -> float:
     if u is v or np.array_equal(u, v):
         return 1.0
     return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
+
+
+def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``u[i] @ v[i]`` for every pair of vectors of two broadcast stacks.
+
+    matmul takes each 1 x n by n x 1 product through the dot routine that
+    ``u[i] @ v[i]`` uses, so every entry is bitwise that dot product.
+    """
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _similarities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``similarity`` of every pair of vectors of two broadcast stacks."""
+    if u.shape[-1:] != v.shape[-1:]:
+        raise DimensionMismatch(f"operand dimensions differ: {u.shape} vs {v.shape}")
+    nu = np.sqrt(_dots(u, u))
+    nv = np.sqrt(_dots(v, v))
+    with np.errstate(invalid="ignore", divide="ignore"):
+        sims = np.clip(_dots(u, v) / (nu * nv), -1.0, 1.0)
+    sims[(u == v).all(axis=-1)] = 1.0
+    sims[(nu == 0.0) | (nv == 0.0)] = 0.0
+    return sims
 
 
 def normalize(v: Vector) -> Vector:

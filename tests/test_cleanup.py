@@ -197,6 +197,7 @@ def out_of_range(row, kind):
         1e-160 * row,
         1e20 * row,
         row.astype(np.float32),
+        2.0**-135 * row,  # subnormal in float32: screened sums err past the bound
     ][kind]
 
 
@@ -354,7 +355,7 @@ def test_screened_recall_returns_the_float64_argmax_row():
     check(ties)
     assert mem.full_activations > 0
     assert np.array_equal(mem.recall_lookup(tie_probe), flipped)  # the lower index wins
-    check([out_of_range(rows[3], k) for k in range(6)])
+    check([out_of_range(rows[3], k) for k in range(7)])
     # One out-of-range row turns the screen off; recall is unchanged.
     mem.append(1e20 * rows[5], dedup=False)
     check(clear[:5] + ties)
@@ -367,13 +368,20 @@ def test_screened_shortlist_is_the_float64_argsort():
     mem = ScreenCounting(n)
     mem.extend(unit_rows(rng, 70, n))
     margin = mem._margin
-    calls = 0
+    probes_ranked = 0
 
-    def check(p, k=3):
-        nonlocal calls
-        calls += 1
-        want = np.argsort(mem.traces @ p)[::-1][:k]
-        assert mem.shortlist(p, k).tolist() == want.tolist()
+    def check(probes, k=3, store=mem):
+        # Every probe alone, then all of them as one block: each row of the
+        # block's shortlist is that probe's float64 argsort.
+        nonlocal probes_ranked
+        probes = np.atleast_2d(probes)
+        want = [np.argsort(store.traces @ p)[::-1][:k].tolist() for p in probes]
+        assert [store.shortlist(p, k).tolist() for p in probes] == want
+        block = store.shortlist(probes, k)
+        assert block.shape == (len(probes), len(want[0]))
+        assert block.tolist() == want
+        if store is mem:
+            probes_ranked += 2 * len(probes)
 
     def planted(p, gaps):
         # Rows whose activations against the unit probe p step down from 0.9
@@ -392,9 +400,9 @@ def test_screened_shortlist_is_the_float64_argsort():
         rows = planted(p, gaps)
         for i, r in zip(rng.choice(len(mem), size=len(rows), replace=False), rows):
             mem.set_row(i, r)
+        noisy = p + rng.normal(0.0, 0.02, n)
         for k in (1, 3, 4):
-            check(p, k)
-        check(p + rng.normal(0.0, 0.02, n))
+            check([p, noisy, out_of_range(p, 6)], k)
     # Exact ties: a duplicate of the top row, and distinct rows that tie.
     p = unit_rows(rng, 1, n)[0]
     top = planted(p, (100.0,))
@@ -410,26 +418,31 @@ def test_screened_shortlist_is_the_float64_argsort():
     tie_probe = signs.copy()
     tie_probe[0] = 0.0
     check(tie_probe)
-    for k in (0, len(mem) - 1, len(mem), len(mem) + 5):
-        check(p, k)
-    for kind in range(6):
+    for k in (0, 1, 3, 4, len(mem) - 1, len(mem), len(mem) + 5):
+        check([p, tie_probe], k)
+    # Probes the screen cannot bound, alone and in a block with one it can.
+    for kind in range(7):
         check(out_of_range(p, kind))
+    check([p] + [out_of_range(p, kind) for kind in (0, 1, 2, 3, 4, 6)])
+    check([out_of_range(p, 5)] * 2)  # a float32 block
     # One out-of-range row turns the screen off; a row of NaNs makes NaN
     # activations, which the float64 sort places as it always has.
     for bad in (1e20 * p, np.full(n, np.inf), np.full(n, np.nan)):
         mem.set_row(5, bad)
-        check(p)
-        check(p + rng.normal(0.0, 0.02, n))
-    # Stores of at most k rows.
-    for m in (1, 2, 3):
+        check([p, p + rng.normal(0.0, 0.02, n)])
+    # Stores below the screen's row floor, and stores of at most k rows.
+    for m in (1, 2, 3, 4, 20, cleanup._RANK_SCREEN_MIN_ROWS - 1):
         small = CleanupMemory(n)
         small.extend(unit_rows(rng, m, n))
-        q = rng.normal(0.0, 1.0, n)
-        assert small.shortlist(q, 3).tolist() == np.argsort(small.traces @ q)[::-1][:3].tolist()
+        q = rng.normal(0.0, 1.0, (3, n))
+        for k in (0, 1, 3, 4, m - 1, m, m + 5):
+            check(q, k, small)
     with pytest.raises(EmptyMemoryError):
         CleanupMemory(n).shortlist(p, 3)
+    with pytest.raises(EmptyMemoryError):
+        CleanupMemory(n).shortlist(np.stack([p, p]), 3)
     # Both the screen's own answers and the float64 fall-through ran.
-    assert 0 < mem.full_activations < calls
+    assert 0 < mem.full_activations < probes_ranked
 
 
 def test_ranking_screens_only_from_the_row_floor():

@@ -37,6 +37,11 @@ def test_tagset_role_spectra_bind_bitwise_as_hrr_does():
             assert tags.bind(role, v).tobytes() == hrr.bind(role, v).tobytes()
             assert tags.bind(role, v).tobytes() == hrr.bind(v, role).tobytes()
             assert tags.unbind(role, v).tobytes() == hrr.unbind(role, v).tobytes()
+        stack = rng.normal(0.0, 1.0 / np.sqrt(DIM), (4, DIM))
+        bound, unbound = tags.bind(role, stack), tags.unbind(role, stack)
+        for i, v in enumerate(stack):
+            assert bound[i].tobytes() == hrr.bind(role, v).tobytes()
+            assert unbound[i].tobytes() == hrr.unbind(role, v).tobytes()
 
 
 def test_cons_vec_matches_the_role_binding_formula():
@@ -134,12 +139,13 @@ def test_decode_round_trip_over_random_trees():
 
 
 class CountingMemory(CleanupMemory):
-    """A store counting its shortlists and the float64 scans behind them."""
+    """A store counting its shortlist calls, the probes they rank and the float64 scans behind them."""
 
-    shortlists = full_scans = 0
+    shortlist_calls = shortlist_probes = full_scans = 0
 
     def shortlist(self, p, k):
-        self.shortlists += 1
+        self.shortlist_calls += 1
+        self.shortlist_probes += len(np.atleast_2d(p))
         return super().shortlist(p, k)
 
     def activations(self, p):
@@ -210,19 +216,88 @@ def test_decode_matches_the_reference_decoder_on_a_crowded_store():
     # Wrong trees and decode divergences both occur, and are reproduced.
     assert any(got != repr(t) and not got.startswith("DecodeError") for got, t in zip(results, trees))
     assert any(got.startswith("DecodeError") for got in results)
-    assert 0 < scans < mem.shortlists  # the screen decided some shortlists, the float64 sort the rest
+    assert 0 < scans < mem.shortlist_probes  # the screen decided some probes, the float64 sort the rest
 
 
 def test_decode_depth_limit_stops_self_reference():
     reg, tags, _ = fresh()
-    mem = CleanupMemory(DIM)
     seedling = reg.vector("A")
     looped = hrr.normalize(
         hrr.bind(tags.left, seedling) + hrr.bind(tags.right, seedling) + tags.phi
     )
-    mem.append(looped)  # both halves now recall to the pair itself
-    with pytest.raises(DecodeError):
-        codec.decode(looped, mem, reg, THRESH)
+    for max_depth in (1, 5, codec.DECODE_DEPTH_LIMIT):
+        mem = CountingMemory(DIM)
+        mem.append(looped)  # both halves now recall to the pair itself
+        with pytest.raises(DecodeError, match="depth limit"):
+            codec.decode(looped, mem, reg, THRESH, max_depth=max_depth)
+        # Both halves split into the same row, so each level holds that one row.
+        assert mem.shortlist_calls <= max_depth
+        assert mem.shortlist_probes <= 2 * max_depth
+
+
+def test_decode_walks_lists_deeper_than_the_recursion_limit():
+    import inspect
+    import sys
+
+    reg, tags, mem = fresh(seed=2)
+    names = [f"X{i}" for i in range(40)]
+    v = tags.nil
+    for name in reversed(names):  # a cons loop: encode itself recurses
+        v = codec.cons_vec(reg.vector(name), v, tags, mem)
+    limit = sys.getrecursionlimit()
+    # Room for this frame's callees, far less than one frame per list element.
+    sys.setrecursionlimit(len(inspect.stack()) + 30)
+    try:
+        got = codec.decode(v, mem, reg, THRESH)
+    finally:
+        sys.setrecursionlimit(limit)
+    for name in names:
+        assert got.left == Atom(name)
+        got = got.right
+    assert got == NIL
+
+
+def test_decode_splits_repeated_subtrees_once_per_level():
+    reg, _, _ = fresh(seed=3)
+    mem = CountingMemory(DIM)
+    tree = parse("((A . B) . (A . B))")
+    v = codec.encode(tree, reg, mem)
+    assert codec.decode(v, mem, reg, THRESH) == tree
+    # The root's two probes, then the one (A . B) row's two.
+    assert mem.shortlist_calls == 2
+    assert mem.shortlist_probes == 4
+
+
+def test_decode_scores_wide_levels_in_chunks(monkeypatch):
+    reg, _, mem = fresh(seed=4)
+
+    def full(depth, i=0):
+        if depth == 0:
+            return Atom(f"A{i}")
+        return Pair(full(depth - 1, 2 * i), full(depth - 1, 2 * i + 1))
+
+    tree = full(4)
+    v = codec.encode(tree, reg, mem)
+    widths = []
+    best_splits = codec._best_splits
+
+    def spy(pairs, mem, tags):
+        widths.append(len(pairs))
+        return best_splits(pairs, mem, tags)
+
+    monkeypatch.setattr(codec, "_best_splits", spy)
+    assert codec.decode(v, mem, reg, THRESH) == tree
+    assert widths == [1, 2, 4, 8]
+    # Chunks of 3 nodes, one of them short, pick the same splits.
+    monkeypatch.setattr(codec, "DECODE_SCORE_CHUNK", 3)
+    assert codec.decode(v, mem, reg, THRESH) == tree
+
+
+def test_decode_of_a_nan_vector_raises_decode_error():
+    reg, _, mem = fresh()
+    codec.encode(parse("(A . B)"), reg, mem)
+    with pytest.raises(DecodeError, match="NaN"):
+        codec.decode(np.full(DIM, np.nan), mem, reg, THRESH)
 
 
 def test_decode_respects_an_explicit_depth_budget():

@@ -52,6 +52,24 @@ def test_bind_rejects_dimension_mismatch():
         hrr.bind(np.zeros(4), np.zeros(5))
 
 
+@pytest.mark.parametrize("n", [64, 257, 2048])
+def test_stacked_bind_rows_are_bitwise_single_binds(n):
+    rng = np.random.default_rng(11 + n)
+    u = rng.normal(0.0, 1.0, n)
+    stack = rng.normal(0.0, 1.0, (7, n))
+    got = hrr.bind(u, stack)
+    assert got.shape == (7, n)
+    for i, v in enumerate(stack):
+        assert got[i].tobytes() == hrr.bind(u, v).tobytes()
+    assert hrr.bind(u, stack, spectrum=np.fft.rfft(u)).tobytes() == got.tobytes()
+    assert hrr.bind(u, stack[:0]).shape == (0, n)
+    for bad in (np.zeros((2, 3, n)), np.zeros((2, n + 1))):
+        with pytest.raises(DimensionMismatch):
+            hrr.bind(u, bad)
+    with pytest.raises(DimensionMismatch):
+        hrr.bind(stack, stack)
+
+
 def test_involution_reverses_indices_modularly():
     out = hrr.involution(np.array([1.0, 2.0, 3.0, 4.0]))
     assert np.array_equal(out, [1.0, 4.0, 3.0, 2.0])
@@ -118,6 +136,37 @@ def test_similarity_is_clipped():
 def test_similarity_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         hrr.similarity(np.zeros(4), np.zeros(5))
+
+
+def test_stacked_similarity_is_bitwise_the_float_of_each_pair():
+    rng = np.random.default_rng(12)
+    n = 300
+    v = rng.normal(0.0, 1.0, n)
+    rows = list(rng.normal(0.0, 1.0, (5, n)))
+    rows += [np.zeros(n), v.copy(), -v, 3.0 * v, np.full(n, np.nan), np.full(n, np.inf)]
+    stack = np.stack(rows)
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = [hrr.similarity(r, v) for r in rows]
+        got = hrr.similarity(stack, v)
+        assert np.array_equal(hrr.similarity(v, stack), got, equal_nan=True)
+    assert got.shape == (len(rows),)
+    assert np.array(want).tobytes() == got.tobytes()
+    assert got[5] == 0.0 and got[6] == 1.0 and got[7] == -1.0 and got[8] <= 1.0
+    # A vector whose quotient with itself rounds under 1 still scores exactly 1.
+    w = np.random.default_rng(8).normal(0.0, 1.0, n)
+    assert w @ w / (np.linalg.norm(w) * np.linalg.norm(w)) < 1.0
+    assert hrr.similarity(np.stack([w, -w]), w.copy()).tolist() == [1.0, hrr.similarity(-w, w)]
+    # Stacks of stacks broadcast pair by pair, and a zero operand scores 0.
+    grid = rng.normal(0.0, 1.0, (3, 4, n))
+    probes = rng.normal(0.0, 1.0, (3, 1, n))
+    sims = hrr.similarity(grid, probes)
+    assert sims.shape == (3, 4)
+    for i in range(3):
+        for j in range(4):
+            assert sims[i, j] == hrr.similarity(grid[i, j], probes[i, 0])
+    assert (hrr.similarity(grid, np.zeros(n)) == 0.0).all()
+    with pytest.raises(DimensionMismatch):
+        hrr.similarity(grid, np.zeros(n + 1))
 
 
 def test_normalize_unit_norm_and_zero_error():
@@ -232,6 +281,27 @@ def test_registry_nearest_cleans_a_noisy_atom():
     noisy = reg.vector("A3") + rng.normal(0.0, 0.01, 512)
     name, sim = reg.nearest(noisy)
     assert name == "A3" and sim > 0.9
+
+
+def test_registry_nearest_follows_new_atoms():
+    reg = AtomRegistry(256, seed=15)
+    rng = np.random.default_rng(15)
+    for i in range(6):
+        reg.vector(f"A{i}")
+    probe = reg.vector("A2") + rng.normal(0.0, 0.01, 256)
+    assert reg.nearest(probe)[0] == "A2"
+    # An atom drawn after a lookup takes part in the next one.
+    later = reg.vector("LATER")
+    name, sim = reg.nearest(later)
+    assert name == "LATER" and sim == 1.0
+    names = reg.names()
+    matrix = np.stack([reg.vector(k) for k in names])
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for v in (probe, later, np.zeros(256)):
+            norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(v)
+            sims = np.where(norms > 0.0, matrix @ v / norms, 0.0)
+            best = int(np.argmax(sims))
+            assert reg.nearest(v) == (names[best], float(sims[best]))
 
 
 def test_registry_nearest_on_empty_registry_raises():
