@@ -15,10 +15,9 @@ from .hrr import (
     Permutation,
     Thresholds,
     bind,
+    cascade,
     involution,
     normalize,
-    permute,
-    saturating_add,
     similarity,
     unbind,
 )
@@ -50,6 +49,7 @@ __all__ = [
     "TagSet",
     "Thresholds",
     "bind",
+    "cascade",
     "decode",
     "encode",
     "involution",
@@ -57,8 +57,6 @@ __all__ = [
     "oracle_evaluate",
     "parse",
     "parse_many",
-    "permute",
-    "saturating_add",
     "similarity",
     "to_text",
     "unbind",

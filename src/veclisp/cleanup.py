@@ -17,14 +17,12 @@ from .hrr import Vector, _dots
 
 __all__ = [
     "KINDS",
-    "RULES",
     "CleanupMemory",
     "EmptyMemoryError",
     "ConvergenceError",
 ]
 
 KINDS = ("lookup", "mhn", "minerva2", "hopfield", "grossberg")
-RULES = ("RC", "RG", "RE")
 
 _MAGIC = b"VCM2"
 _HEADER = struct.Struct("<4sBBQQ7dQ")

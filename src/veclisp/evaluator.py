@@ -1,7 +1,7 @@
 """The vector evaluator: Lisp evaluation as algebra on high-dimensional vectors.
 
 Every operation here works on encoded vectors.  Branching is expressed with the
-saturating lazy add: each alternative is a deferred computation scaled by a
+saturating lazy cascade: each alternative is a deferred computation scaled by a
 guard similarity, and an alternative whose guard is already below theta_down is
 never forced.  Pair halves flow through the session's cleanup memory, function
 definitions through a second lookup store keyed by bound names.
@@ -12,7 +12,8 @@ budget; REPL lines share one session so definitions and stored pairs persist.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from functools import partial
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -40,7 +41,7 @@ class EvalError(RuntimeError):
 
 
 class BudgetExceeded(EvalError):
-    """The driver step counter hit the configured limit."""
+    """The driver ran out of steps, or of Python stack depth."""
 
 
 @dataclass(frozen=True)
@@ -184,15 +185,6 @@ class EvalSession:
             raise BudgetExceeded("evaluation budget exhausted")
         self.steps += 1
 
-    def _gv(self, gate: float, payload: Callable[[], Vector]) -> Vector:
-        """Gate times payload, without forcing a payload the gate already excludes."""
-        if abs(gate) < self.thresholds.theta_down:
-            return np.zeros(self.dim)
-        value = payload()
-        # A unit gate is the identity; skipping the multiply keeps the payload
-        # bit-identical, which the construction shadow keys on.
-        return value if gate == 1.0 else gate * value
-
     def _gensym(self) -> str:
         self._gensym_counter += 1
         return f"{codec.GENSYM_PREFIX}{self._gensym_counter}"
@@ -253,22 +245,31 @@ class EvalSession:
     # -- conditionals ------------------------------------------------------------
 
     def cond_eval(self, r: Vector) -> Vector:
-        """First clause whose evaluated condition is T-similar wins, lazily."""
-        if self._is_nil(r):
-            raise EvalError("cond exhausted")
-        clause = self.car(r)
-        cval = self.eval_vec(self.car(clause))
-        gate = hrr.similarity(cval, self.tags.true)
+        """First clause whose evaluated condition is T-similar wins, lazily.
 
-        def take() -> Vector:
+        The clauses are walked in a loop, not by recursion, so a fall-through
+        costs no stack frame.
+        """
+
+        def take(clause: Vector) -> Vector:
             self._log("cond", "take")
             return self.eval_vec(self.cdr(clause))
 
-        def fall_through() -> Vector:
-            self._log("cond", "next")
-            return self.cond_eval(self.cdr(r))
+        def clauses() -> Iterator[tuple[Callable[[], float], Callable[[], Vector]]]:
+            rest = r
+            while not self._is_nil(rest):
+                clause = self.car(rest)
+                gate = hrr.similarity(self.eval_vec(self.car(clause)), self.tags.true)
+                # Both thunks bind this clause's values now; ``partial`` also
+                # keeps the recursion through the clause body to one frame.
+                yield (lambda g=gate: g), partial(take, clause)
+                self._log("cond", "next")
+                rest = self.cdr(rest)
 
-        return hrr.saturating_add(lambda: self._gv(gate, take), fall_through, self.thresholds)
+        def exhausted() -> Vector:
+            raise EvalError("cond exhausted")
+
+        return hrr.cascade(clauses(), exhausted, self.thresholds)
 
     # -- lambda machinery ----------------------------------------------------------
 
@@ -307,19 +308,9 @@ class EvalSession:
         NIL, and otherwise one parameter is substituted away and a lambda over
         the remaining parameters is built.
         """
-        t = self.thresholds
-        fresh = hrr.similarity(lam, self.tags.rho) < t.theta_down
-        parts: dict[str, Vector] = {}
-
-        def params() -> Vector:
-            if "x" not in parts:
-                parts["x"] = self.car(self.cdr(lam))
-            return parts["x"]
-
-        def body() -> Vector:
-            if "e" not in parts:
-                parts["e"] = self.car(self.cdr(self.cdr(lam)))
-            return parts["e"]
+        fresh = hrr.similarity(lam, self.tags.rho) < self.thresholds.theta_down
+        params = _once(lambda: self.car(self.cdr(lam)))
+        body = _once(lambda: self.car(self.cdr(self.cdr(lam))))
 
         def relabel_and_retry() -> Vector:
             self._log("apply", "relabel")
@@ -344,85 +335,48 @@ class EvalSession:
             new_body = self.lambda_subst(params(), body(), a)
             return self._lambda_expr(self.cdr(params()), new_body)
 
-        return hrr.saturating_add(
-            lambda: self._gv(1.0 if fresh else 0.0, relabel_and_retry),
-            lambda: hrr.saturating_add(
-                lambda: self._gv(hrr.similarity(params(), self.tags.nil), params_done),
-                lambda: hrr.saturating_add(
-                    lambda: self._gv(hrr.similarity(body(), self.tags.nil), body_nil),
-                    curry,
-                    t,
-                ),
-                t,
-            ),
-            t,
+        return hrr.cascade(
+            [
+                (lambda: 1.0 if fresh else 0.0, relabel_and_retry),
+                (lambda: hrr.similarity(params(), self.tags.nil), params_done),
+                (lambda: hrr.similarity(body(), self.tags.nil), body_nil),
+            ],
+            curry,
+            self.thresholds,
         )
 
     def lambda_subst(self, x: Vector, e: Vector, a: Vector) -> Vector:
         """Structural substitution of the first parameter's value through ``e``."""
-        t = self.thresholds
-        parts: dict[str, Vector] = {}
+        nil = self.tags.nil
+        car_x = _once(lambda: self.car(x))
+        car_e = _once(lambda: self.car(e))
+        cdr_e = _once(lambda: self.cdr(e))
+        car_a = _once(lambda: self.car(a))
 
-        def car_x() -> Vector:
-            if "cx" not in parts:
-                parts["cx"] = self.car(x)
-            return parts["cx"]
+        def subst(y: Vector) -> Vector:
+            return self.lambda_subst(x, y, a)
 
-        def car_e() -> Vector:
-            if "ce" not in parts:
-                parts["ce"] = self.car(e)
-            return parts["ce"]
-
-        def cdr_e() -> Vector:
-            if "de" not in parts:
-                parts["de"] = self.cdr(e)
-            return parts["de"]
-
-        def car_a() -> Vector:
-            if "ca" not in parts:
-                parts["ca"] = self.car(a)
-            return parts["ca"]
-
-        def branch(i: int, fn: Callable[[], Vector]) -> Callable[[], Vector]:
+        def logged(i: int, payload: Callable[[], Vector]) -> Callable[[], Vector]:
             def run() -> Vector:
                 self._log("subst", i)
-                return fn()
+                return payload()
             return run
 
-        b1 = branch(1, lambda: e)
-        b2 = branch(2, lambda: self.tags.nil)
-        b3 = branch(3, car_a)
-        b4 = branch(4, lambda: e)
-        b5 = branch(5, lambda: self.cons(car_a(), self.lambda_subst(x, cdr_e(), a)))
-        b6 = branch(6, lambda: self.cons(self.lambda_subst(x, car_e(), a), self.lambda_subst(x, cdr_e(), a)))
-        b7 = branch(7, lambda: self.cons(car_e(), self.lambda_subst(x, cdr_e(), a)))
-
-        return hrr.saturating_add(
-            lambda: self._gv(hrr.similarity(x, self.tags.nil), b1),
-            lambda: hrr.saturating_add(
-                lambda: self._gv(hrr.similarity(e, self.tags.nil), b2),
-                lambda: hrr.saturating_add(
-                    lambda: self._gv(hrr.similarity(car_x(), e), b3),
-                    lambda: hrr.saturating_add(
-                        lambda: self._gv(hrr.similarity(self.atom(e, self.tags.nil), self.tags.true), b4),
-                        lambda: hrr.saturating_add(
-                            lambda: self._gv(hrr.similarity(car_x(), car_e()), b5),
-                            lambda: hrr.saturating_add(
-                                lambda: self._gv(
-                                    hrr.similarity(self.atom(car_e(), self.tags.nil), self.tags.false), b6
-                                ),
-                                b7,
-                                t,
-                            ),
-                            t,
-                        ),
-                        t,
-                    ),
-                    t,
-                ),
-                t,
+        alternatives = [
+            (lambda: hrr.similarity(x, nil), lambda: e),
+            (lambda: hrr.similarity(e, nil), lambda: nil),
+            (lambda: hrr.similarity(car_x(), e), car_a),
+            (lambda: hrr.similarity(self.atom(e, nil), self.tags.true), lambda: e),
+            (lambda: hrr.similarity(car_x(), car_e()), lambda: self.cons(car_a(), subst(cdr_e()))),
+            (
+                lambda: hrr.similarity(self.atom(car_e(), nil), self.tags.false),
+                lambda: self.cons(subst(car_e()), subst(cdr_e())),
             ),
-            t,
+        ]
+        return hrr.cascade(
+            [(gate, logged(i, payload)) for i, (gate, payload) in enumerate(alternatives, 1)],
+            logged(7, lambda: self.cons(car_e(), subst(cdr_e()))),
+            self.thresholds,
         )
 
     # -- function calls ------------------------------------------------------------
@@ -448,7 +402,7 @@ class EvalSession:
             self._log("fcall", "miss")
             return self.cons(f, a)
 
-        out = hrr.saturating_add(lambda: self._gv(gate, hit), miss, t)
+        out = hrr.cascade([(lambda: gate, hit)], miss, t)
         return out, gate > t.theta_up
 
     # -- the driver ---------------------------------------------------------------
@@ -512,10 +466,26 @@ class EvalSession:
     # -- conveniences -----------------------------------------------------------
 
     def run(self, expr: SExpr) -> SExpr:
-        return self.decode(self.eval_expr(self.encode(expr)))
+        try:
+            v = self.eval_expr(self.encode(expr))
+        except RecursionError as exc:
+            raise BudgetExceeded("evaluation nested deeper than the interpreter's recursion limit") from exc
+        return self.decode(v)
 
     def run_text(self, source: str) -> SExpr:
         return self.run(reader.parse(source))
+
+
+def _once(thunk: Callable[[], Vector]) -> Callable[[], Vector]:
+    """``thunk``, forced at most once: later calls return the first result."""
+    memo: list[Vector] = []
+
+    def get() -> Vector:
+        if not memo:
+            memo.append(thunk())
+        return memo[0]
+
+    return get
 
 
 def _rename_atoms(e: SExpr, mapping: dict[str, str]) -> SExpr:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 from numpy.typing import NDArray
@@ -30,8 +30,7 @@ __all__ = [
     "unbind",
     "similarity",
     "normalize",
-    "permute",
-    "saturating_add",
+    "cascade",
 ]
 
 
@@ -45,7 +44,7 @@ class DegenerateVector(ValueError):
 
 @dataclass(frozen=True)
 class Thresholds:
-    """Saturation band for the lazy add: full above theta_up, empty below theta_down."""
+    """Saturation band for the lazy cascade: full above theta_up, empty below theta_down."""
 
     theta_up: float = 0.8
     theta_down: float = 0.2
@@ -248,24 +247,42 @@ def normalize(v: Vector) -> Vector:
     return v / n
 
 
-def permute(v: Vector, perm: Permutation, *, inverse: bool = False) -> Vector:
-    """Apply the session permutation (or its exact inverse) to ``v``."""
-    return perm.inverse(v) if inverse else perm.forward(v)
+def cascade(
+    alternatives: Iterable[tuple[Callable[[], float], Callable[[], Vector]]],
+    default: Callable[[], Vector],
+    t: Thresholds,
+) -> Vector:
+    """Saturating lazy superposition of gated alternatives.
 
-
-def saturating_add(a: Callable[[], Vector], b: Callable[[], Vector], t: Thresholds) -> Vector:
-    """Saturating lazy superposition.
-
-    Both operands are deferred computations.  ``a`` is evaluated first; if its
-    norm exceeds ``t.theta_up`` it is returned and ``b`` is never evaluated.  If
-    its norm falls below ``t.theta_down`` the result is ``b`` alone.  Otherwise
-    both are evaluated and their normalized sum is returned.  Errors propagate
-    only from operands that were actually evaluated.
+    Every gate and payload is a deferred computation, pulled one pair at a
+    time.  A gate below ``t.theta_down`` in magnitude skips its payload, which
+    is never forced; otherwise the alternative is ``gate * payload()``, and a
+    unit gate returns the payload object itself.  The first alternative whose
+    norm exceeds ``t.theta_up`` ends the cascade: no later gate, payload or
+    ``default`` is forced.  One whose norm falls below ``t.theta_down`` is
+    dropped.  One in between is kept and blended back, innermost first, as
+    ``normalize(kept + rest)``, where ``rest`` is what the cascade after it
+    returned (``default()`` when it ran out).  Errors propagate only from
+    computations that were actually forced.
     """
-    av = a()
-    na = float(np.linalg.norm(av))
-    if na > t.theta_up:
-        return av
-    if na < t.theta_down:
-        return b()
-    return normalize(av + b())
+    kept: list[Vector] = []
+    for gate, payload in alternatives:
+        g = gate()
+        if abs(g) < t.theta_down:
+            continue
+        value = payload()
+        # A unit gate is the identity; skipping the multiply keeps the payload
+        # bit-identical, which the evaluator's construction shadow keys on.
+        if g != 1.0:
+            value = g * value
+        n = float(np.linalg.norm(value))
+        if n > t.theta_up:
+            rest = value
+            break
+        if not n < t.theta_down:
+            kept.append(value)
+    else:
+        rest = default()
+    for value in reversed(kept):
+        rest = normalize(value + rest)
+    return rest

@@ -157,24 +157,39 @@ def test_vector_and_symbolic_twins_agree_on_the_whole_corpus(capsys):
 
 
 def test_saturated_guards_never_force_the_alternative(capsys, monkeypatch):
-    real = hrr.saturating_add
+    real = hrr.cascade
     stats = {"saturated": 0, "violations": 0}
 
-    def probed(a, b, t):
-        av = a()
-        forced = []
+    def probed(alternatives, default, t):
+        # Once an alternative saturates, the cascade may force nothing more:
+        # no later guard, payload or default, and no pull of another pair.
+        done = []
 
-        def b_probe():
-            forced.append(True)
-            return b()
+        def forced(thunk):
+            stats["violations"] += bool(done)
+            return thunk()
 
-        out = real(lambda: av, b_probe, t)
-        if float(np.linalg.norm(av)) > t.theta_up:
-            stats["saturated"] += 1
-            stats["violations"] += bool(forced)
-        return out
+        def pairs():
+            for gate, payload in alternatives:
+                g = []
 
-    monkeypatch.setattr(hrr, "saturating_add", probed)
+                def gate_probe(gate=gate, g=g):
+                    g.append(forced(gate))
+                    return g[-1]
+
+                def payload_probe(payload=payload, g=g):
+                    value = forced(payload)
+                    if float(np.linalg.norm(g[-1] * value)) > t.theta_up:
+                        stats["saturated"] += 1
+                        done.append(True)
+                    return value
+
+                yield gate_probe, payload_probe
+                stats["violations"] += bool(done)
+
+        return real(pairs(), lambda: forced(default), t)
+
+    monkeypatch.setattr(hrr, "cascade", probed)
     picked = [
         (nm, texts)
         for nm, texts in corpus.PROGRAMS

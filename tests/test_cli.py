@@ -1,5 +1,6 @@
 """Command line behavior: subcommands, configuration sources, exit codes."""
 
+import inspect
 import io
 import subprocess
 import sys
@@ -131,6 +132,23 @@ def test_run_aborts_on_an_evaluation_error(tmp_path, capsys):
     assert code == 1
     assert out == ""
     assert "cond exhausted" in err
+
+
+def test_run_reports_a_depth_limit_as_an_error(tmp_path, capsys):
+    script = tmp_path / "prog.vl"
+    items = " ".join(f"X{i}" for i in range(40))
+    script.write_text(
+        "(DEFINE LAST (LAMBDA (P) (COND ((ATOM (CDR P)) . (CAR P)) ((QUOTE T) . ((LAST (CDR P)))))))\n"
+        f"((LAST (QUOTE ({items}))))\n"
+    )
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 150)
+    try:
+        code, out, err = call(["run", "--dim", "512", str(script)], capsys)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code == 1
+    assert err.startswith("error:")
 
 
 def test_run_rejects_an_unparseable_script(tmp_path, capsys):

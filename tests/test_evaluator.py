@@ -1,9 +1,12 @@
 """Vector evaluator behavior: structural ops, branching, lambdas, the driver."""
 
+import inspect
+import sys
+
 import numpy as np
 import pytest
 
-from veclisp import codec, oracle, reader
+from veclisp import codec, hrr, oracle, reader
 from veclisp.evaluator import BudgetExceeded, EvalError, EvalSession, SessionConfig
 from veclisp.oracle import OracleEnv
 from veclisp.reader import Atom, Pair, parse, to_text
@@ -137,10 +140,42 @@ def test_gated_payload_is_never_forced_below_the_lower_threshold():
     def boom():
         raise AssertionError("forced a gated-off payload")
 
-    assert not sess._gv(0.05, boom).any()
-    # A unit gate skips the multiply entirely, so the payload stays bit-exact.
     a = sess.encode(Atom("A"))
-    assert sess._gv(1.0, lambda: a) is a
+    assert hrr.cascade([(lambda: 0.05, boom)], lambda: a, sess.thresholds) is a
+    # A unit gate skips the multiply entirely, so the payload stays bit-exact.
+    assert hrr.cascade([(lambda: 1.0, lambda: a)], boom, sess.thresholds) is a
+
+
+LAST = "(DEFINE LAST (LAMBDA (P) (COND ((ATOM (CDR P)) . (CAR P)) ((QUOTE T) . ((LAST (CDR P)))))))"
+
+
+def last_call(n):
+    return f"((LAST (QUOTE ({' '.join(f'X{i}' for i in range(n))}))))"
+
+
+def run_within(sess, text, frames):
+    """Run ``text`` with the recursion limit ``frames`` above the caller's depth."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + frames)
+    try:
+        return run(sess, text)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+def test_cond_falls_through_without_a_stack_frame():
+    # COND walks its clauses in a loop: a LAST element costs 6 frames, so 40
+    # elements fit in 400, which a fall-through by recursion (11) overruns.
+    sess = fresh(dim=512, seed=5)
+    run(sess, LAST)
+    assert run_within(sess, last_call(40), 400) == "X39"
+
+
+def test_a_depth_limit_is_a_budget_error():
+    sess = fresh(dim=512, seed=5)
+    run(sess, LAST)
+    with pytest.raises(BudgetExceeded, match="recursion limit"):
+        run_within(sess, last_call(40), 150)
 
 
 # -- lambda machinery ---------------------------------------------------------------

@@ -1,5 +1,5 @@
 """Algebra tests: FFT binding against a hand-rolled convolution, exact
-identities, registry determinism, and the lazy add's forcing contract."""
+identities, registry determinism, and the lazy cascade's forcing contract."""
 import numpy as np
 import pytest
 
@@ -197,45 +197,135 @@ def _counted(vec, calls, key):
     return thunk
 
 
-def test_saturating_add_never_forces_an_excluded_branch():
+def _unit_gate():
+    return 1.0
+
+
+def test_cascade_never_forces_an_excluded_branch():
     t = Thresholds(0.8, 0.2)
     calls = {"a": 0, "b": 0}
     big = np.zeros(8)
     big[0] = 1.0
-    out = hrr.saturating_add(_counted(big, calls, "a"), _counted(np.ones(8), calls, "b"), t)
-    assert np.array_equal(out, big)
+    out = hrr.cascade([(_unit_gate, _counted(big, calls, "a"))], _counted(np.ones(8), calls, "b"), t)
+    assert out is big
     assert calls == {"a": 1, "b": 0}
 
 
-def test_saturating_add_drops_a_negligible_first_operand():
+def test_cascade_drops_a_negligible_alternative():
     t = Thresholds(0.8, 0.2)
     calls = {"a": 0, "b": 0}
     b = np.full(8, 0.5)
-    out = hrr.saturating_add(_counted(np.zeros(8), calls, "a"), _counted(b, calls, "b"), t)
+    out = hrr.cascade([(_unit_gate, _counted(np.zeros(8), calls, "a"))], _counted(b, calls, "b"), t)
     assert np.array_equal(out, b)
     assert calls == {"a": 1, "b": 1}
 
 
-def test_saturating_add_blends_the_middle_band():
+def test_cascade_blends_the_middle_band():
     t = Thresholds(0.8, 0.2)
     calls = {"a": 0, "b": 0}
     a = np.zeros(4)
     a[0] = 0.5
     b = np.zeros(4)
     b[1] = 2.0
-    out = hrr.saturating_add(_counted(a, calls, "a"), _counted(b, calls, "b"), t)
+    out = hrr.cascade([(_unit_gate, _counted(a, calls, "a"))], _counted(b, calls, "b"), t)
     assert calls == {"a": 1, "b": 1}
     assert np.allclose(out, hrr.normalize(a + b))
 
 
-def test_saturating_add_exact_boundaries_blend():
-    # Saturation is strict: a norm exactly at theta_up still forces b.
+def test_cascade_exact_boundaries_blend():
+    # Saturation is strict: a norm exactly at theta_up still forces the default.
     t = Thresholds(0.8, 0.2)
     calls = {"a": 0, "b": 0}
     a = np.zeros(4)
     a[0] = 0.8
-    hrr.saturating_add(_counted(a, calls, "a"), _counted(np.ones(4), calls, "b"), t)
+    hrr.cascade([(_unit_gate, _counted(a, calls, "a"))], _counted(np.ones(4), calls, "b"), t)
     assert calls["b"] == 1
+
+
+# The two-operand lazy add and gate that the cascade replaced, kept verbatim
+# as the reference: a cascade of n alternatives must be bitwise the n-deep
+# tower ``add(lambda: gv(g1, p1), lambda: add(lambda: gv(g2, p2), ...))``.
+
+
+def _ref_saturating_add(a, b, t):
+    av = a()
+    na = float(np.linalg.norm(av))
+    if na > t.theta_up:
+        return av
+    if na < t.theta_down:
+        return b()
+    return hrr.normalize(av + b())
+
+
+def _ref_gv(gate, payload, t, dim):
+    if abs(gate) < t.theta_down:
+        return np.zeros(dim)
+    value = payload()
+    return value if gate == 1.0 else gate * value
+
+
+def _ref_tower(alternatives, default, t, dim):
+    if not alternatives:
+        return default()
+    (gate, payload), rest = alternatives[0], alternatives[1:]
+    return _ref_saturating_add(
+        lambda: _ref_gv(gate(), payload, t, dim), lambda: _ref_tower(rest, default, t, dim), t
+    )
+
+
+@pytest.mark.parametrize("up,down", [(0.8, 0.2), (0.5, 0.0)])
+def test_cascade_is_bitwise_the_nested_saturating_add(up, down):
+    t = Thresholds(up, down)
+    dim = 8
+    rng = np.random.default_rng(31)
+    gates = [0.0, 0.1, down, 0.5, 0.8, 1.0, -1.0, float("nan")]
+    norms = [0.0, 0.1, 0.5, up, 1.0, float("nan")]
+
+    def payload_vector():
+        norm = norms[rng.integers(len(norms))]
+        if rng.random() < 0.5:
+            # An axis vector carries its norm exactly, boundaries included.
+            v = np.zeros(dim)
+            v[rng.integers(dim)] = norm
+            assert np.isnan(norm) or np.linalg.norm(v) == norm
+            return v
+        v = rng.normal(size=dim)
+        return v / np.linalg.norm(v) * norm
+
+    def run(combine, case):
+        forced = []
+
+        def thunk(label, value):
+            def force():
+                forced.append(label)
+                return value
+            return force
+
+        alternatives = [
+            (thunk(("gate", i), g), thunk(("payload", i), p)) for i, (g, p) in enumerate(case["alts"])
+        ]
+        try:
+            out = combine(alternatives, thunk(("default",), case["default"]))
+        except DegenerateVector:
+            return "degenerate", forced
+        return out.tobytes(), forced
+
+    outcomes = set()
+    for _ in range(600):
+        n = int(rng.integers(1, 8))
+        case = {
+            "alts": [(gates[rng.integers(len(gates))], payload_vector()) for _ in range(n)],
+            "default": payload_vector(),
+        }
+        got = run(lambda alts, d: hrr.cascade(iter(alts), d, t), case)
+        want = run(lambda alts, d: _ref_tower(alts, d, t, dim), case)
+        assert got == want
+        if got[0] == "degenerate":
+            outcomes.add("degenerate")
+        else:
+            outcomes.add("exhausted" if ("default",) in got[1] else "saturated")
+    # A kept zero alternative, and so a degenerate blend, needs theta_down = 0.
+    assert outcomes == {"saturated", "exhausted"} | ({"degenerate"} if down == 0.0 else set())
 
 
 # -- atom registry ----------------------------------------------------------------
@@ -322,7 +412,6 @@ def test_permutation_round_trip_is_exact():
     perm = Permutation(128, seed=1)
     v = rng.normal(0.0, 1.0, 128)
     assert np.array_equal(perm.inverse(perm.forward(v)), v)
-    assert np.array_equal(hrr.permute(hrr.permute(v, perm), perm, inverse=True), v)
     assert not np.array_equal(perm.forward(v), v)
 
 
