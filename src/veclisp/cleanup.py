@@ -270,7 +270,17 @@ class CleanupMemory:
         exact_rows_pass = self.dedup_threshold <= 1.0 - 4 * self.dim * _EPS
         if not (exact_rows_pass and key is not None and _NORM_MIN < tn < _NORM_MAX):
             return False
-        return any(np.array_equal(self._buf[i], t) for i in self._index.get(key, ()))
+        return self.find(t, key) is not None
+
+    def find(self, t: Vector, key: int | None = None) -> int | None:
+        """The lowest-index row bitwise equal to the float64 vector ``t``, or None.
+
+        ``key``, if given, must be the row key of ``t``.
+        """
+        for i in self._index.get(_row_key(t) if key is None else key, ()):
+            if np.array_equal(self._buf[i], t):
+                return i
+        return None
 
     def _screens(self, p: Vector, pn: float | Vector) -> bool | np.ndarray:
         """Whether the float32 screen's error bound holds for probe ``p`` of norm ``pn``.
@@ -413,11 +423,13 @@ class CleanupMemory:
 
     def recall_lookup(self, p: Vector) -> Vector:
         """Exact row with the highest activation; ties go to the lowest index."""
+        return self.traces[self.nearest(p)].copy()
+
+    def nearest(self, p: Vector) -> int:
+        """Index of the row with the highest activation; ties go to the lowest index."""
         self._require_nonempty()
         i = self._screened_argmax(p)
-        if i is None:
-            i = _hardmax(self.activations(p))
-        return self.traces[i].copy()
+        return _hardmax(self.activations(p)) if i is None else i
 
     def _ranked(self, probes: Vector) -> tuple[Vector, Vector, np.ndarray] | None:
         """Screened activations of a block of probes against every row and their error bounds.

@@ -1,11 +1,11 @@
 """Codec between symbolic trees and their vector encodings.
 
 A pair is the normalized superposition of its halves bound to the role tags L
-and R, plus the structure marker PHI; building one stores both halves in the
-cleanup memory so they can be recovered later by unbind-and-recall.  Atoms are
-registry draws.  Reserved tag names start with '#', which the reader cannot
-produce, so they never collide with user atoms; NIL, T and F are deliberately
-the ordinary atoms of those names.
+and R, plus the structure marker PHI; encoding a tree stores both halves of
+each pair in a cleanup memory so they can be recovered later by
+unbind-and-recall.  Atoms are registry draws.  Reserved tag names start with
+'#', which the reader cannot produce, so they never collide with user atoms;
+NIL, T and F are deliberately the ordinary atoms of those names.
 """
 from __future__ import annotations
 
@@ -104,12 +104,9 @@ class TagSet:
 _TAG_SETS: "weakref.WeakKeyDictionary[AtomRegistry, TagSet]" = weakref.WeakKeyDictionary()
 
 
-def cons_vec(a: Vector, b: Vector, tags: TagSet, mem: CleanupMemory) -> Vector:
-    """Pair constructor: normalize(L*a + R*b + PHI), storing a and b as traces."""
-    out = hrr.normalize(tags.bind(tags.left, a) + tags.bind(tags.right, b) + tags.phi)
-    mem.append(a)
-    mem.append(b)
-    return out
+def cons_vec(a: Vector, b: Vector, tags: TagSet) -> Vector:
+    """Pair constructor: normalize(L*a + R*b + PHI)."""
+    return hrr.normalize(tags.bind(tags.left, a) + tags.bind(tags.right, b) + tags.phi)
 
 
 def is_atomic_vec(v: Vector, tags: TagSet, t: Thresholds) -> bool | np.ndarray:
@@ -131,7 +128,10 @@ def _encode(e: SExpr, registry: AtomRegistry, mem: CleanupMemory, tags: TagSet) 
         return registry.vector(e.name)
     left = _encode(e.left, registry, mem, tags)
     right = _encode(e.right, registry, mem, tags)
-    return cons_vec(left, right, tags, mem)
+    out = cons_vec(left, right, tags)
+    mem.append(left)
+    mem.append(right)
+    return out
 
 
 DECODE_SHORTLIST = 3

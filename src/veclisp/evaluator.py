@@ -3,10 +3,13 @@
 Every operation here works on encoded vectors.  Branching is expressed with the
 saturating lazy cascade: each alternative is a deferred computation scaled by a
 guard similarity, and an alternative whose guard is already below theta_down is
-never forced.  Pair halves flow through the session's cleanup memory, function
-definitions through a second lookup store keyed by bound names.
+never forced.  Pairs live in the session's pair table, a lookup cleanup memory
+keyed by whole pair vectors that holds each key's two halves; CONS interns into
+it and CAR, CDR and decode read from it.  A flat cleanup memory holds NIL, T
+and F for truth snaps, and function definitions live in a second lookup store
+keyed by bound names.
 
-A session owns the registry, both memories, the reserved tags and the step
+A session owns the registry, the memories, the reserved tags and the step
 budget; REPL lines share one session so definitions and stored pairs persist.
 """
 from __future__ import annotations
@@ -19,7 +22,7 @@ import numpy as np
 
 from . import codec, hrr, reader
 from .cleanup import CleanupMemory
-from .codec import TagSet
+from .codec import DecodeError, TagSet
 from .hrr import AtomRegistry, Thresholds, Vector
 from .reader import Atom, Pair, SExpr
 
@@ -82,7 +85,7 @@ class FnNamespace:
 
 
 class EvalSession:
-    """One evaluation context: registry, tag set, pair memory, definitions."""
+    """One evaluation context: registry, tag set, pair table, flat memory, definitions."""
 
     def __init__(self, config: SessionConfig | None = None) -> None:
         self.config = config or SessionConfig()
@@ -101,7 +104,8 @@ class EvalSession:
             max_iters=c.max_iters,
             tol=c.tol,
         )
-        # T and F back every truth test, NIL every empty-tail probe.
+        # T and F back every truth test, NIL every empty-tail probe; pairs
+        # live in the pair table below, so these three are all it holds.
         self.mem.append(self.tags.nil)
         self.mem.append(self.tags.true)
         self.mem.append(self.tags.false)
@@ -111,22 +115,17 @@ class EvalSession:
         self.trace_sink: Callable[[str], None] | None = None
         self._gensym_counter = 0
         self._builtin_vectors = [self.registry.vector(n) for n in BUILTIN_ORDER]
-        # Construction shadow: every vector the session builds from known
-        # structure remembers that structure.  Relabeling fills memory with
-        # near-twin rows (old and renamed bodies differ in one deep leaf, so
-        # their cosine sits inside recall noise); projections consult the
-        # shadow first and fall back to cleanup recall for vectors born from
-        # blends or probes.  Produced vectors are bit-identical either way.
-        # ``_trees`` maps the hash of a vector's bytes to the (vector, tree)
-        # entries with that hash; a vector is known only when bitwise equal to
-        # one held there.  ``_held`` maps the id of each held vector to its
-        # tree: held vectors stay alive and read-only, so an id found there
-        # names the same bytes, and most lookups pass the held object itself.
-        self._trees: dict[int, list[tuple[Vector, SExpr]]] = {}
-        self._held: dict[int, SExpr] = {}
-        self._vecs: dict[SExpr, Vector] = {}
-        for nm in ("NIL", "T", "F", codec.DONE_NAME):
-            self._remember(self.registry.vector(nm), Atom(nm))
+        # The pair table: row i of ``pairs`` is the key ``_keys[i]`` and
+        # ``_halves[i]`` its (left, right).  Keys and halves are held for the
+        # life of the session and made read-only when stored, so an id found
+        # in ``_rows`` (id of a key -> its row) or ``_built`` (ids of a
+        # left and right half -> the row first stored with exactly those
+        # halves) names the same bytes.
+        self.pairs = CleanupMemory(c.dim, "lookup")
+        self._keys: list[Vector] = []
+        self._halves: list[tuple[Vector, Vector]] = []
+        self._rows: dict[int, int] = {}
+        self._built: dict[tuple[int, int], int] = {}
 
     # -- plumbing -------------------------------------------------------------
 
@@ -134,47 +133,87 @@ class EvalSession:
     def dim(self) -> int:
         return self.config.dim
 
-    def _known(self, v: Vector) -> SExpr | None:
-        """The tree behind a vector bitwise equal to ``v``, if the session built one."""
-        tree = self._held.get(id(v))
-        if tree is not None:
-            return tree
-        raw = v.tobytes()
-        for held, tree in self._trees.get(hash(raw), ()):
-            if held.tobytes() == raw:
-                return tree
-        return None
-
-    def _remember(self, v: Vector, tree: SExpr) -> None:
-        """Record ``v``'s tree unless a bitwise-equal vector is already known."""
-        raw = v.tobytes()
-        bucket = self._trees.setdefault(hash(raw), [])
-        if all(held.tobytes() != raw for held, _ in bucket):
-            # The shadow holds ``v`` itself, so an in-place write must fail.
-            v.flags.writeable = False
-            bucket.append((v, tree))
-            self._held[id(v)] = tree
-
     def is_atomic(self, v: Vector) -> bool:
         return codec.is_atomic_vec(v, self.tags, self.thresholds)
 
+    def _intern(self, key: Vector, left: Vector, right: Vector) -> int:
+        """The row of the key bitwise equal to ``key``, storing it with these halves if new."""
+        row = self.pairs.find(key)
+        if row is None:
+            row = len(self._keys)
+            for v in (key, left, right):
+                v.flags.writeable = False  # the table holds them; an in-place write must fail
+            self.pairs.append(key, dedup=False)
+            self._keys.append(key)
+            self._halves.append((left, right))
+            self._rows[id(key)] = row
+        return row
+
+    def _row(self, v: Vector) -> int | None:
+        """The table row that answers a probe: by identity, exact bytes, then nearest key.
+
+        None when no key reaches a cosine of ``theta_down`` with ``v``.
+        """
+        row = self._rows.get(id(v))
+        if row is not None or not self._keys:
+            return row
+        row = self.pairs.find(v)
+        if row is None:
+            row = self.pairs.nearest(v)
+            if not hrr.similarity(v, self._keys[row]) >= self.thresholds.theta_down:
+                return None
+        return row
+
+    def _project(self, c: Vector, side: int) -> Vector:
+        """Half ``side`` (0 left, 1 right) of ``c`` from the table, else by unbind plus recall."""
+        row = self._row(c)
+        if row is not None:
+            return self._halves[row][side]
+        return self.mem.recall(self.tags.unbind((self.tags.left, self.tags.right)[side], c))
+
     def encode(self, e: SExpr) -> Vector:
-        v = self._vecs.get(e)
-        if v is not None:
-            return v
         if isinstance(e, Atom):
-            v = self.registry.vector(e.name)
-            self._remember(v, e)
-        else:
-            v = self.cons(self.encode(e.left), self.encode(e.right))
-        self._vecs[e] = v
-        return v
+            return self.registry.vector(e.name)
+        return self.cons(self.encode(e.left), self.encode(e.right))
 
     def decode(self, v: Vector) -> SExpr:
-        known = self._known(v)
-        if known is not None:
-            return known
-        return codec.decode(v, self.mem, self.registry, self.thresholds)
+        """The tree of ``v``, walked through the pair table in a loop.
+
+        An atomic node decodes to its nearest atom and any other node to the
+        pair of its halves' trees, its halves found as ``car`` and ``cdr``
+        find them.  Each row (each distinct vector, for a node that falls
+        back to recall) is decoded once per walk, and one met again inside
+        its own halves raises ``DecodeError``.
+        """
+        done: dict[object, SExpr] = {}
+        open_nodes: set[object] = set()
+        trees: list[SExpr] = []
+        todo: list[object] = [v]  # vectors to decode, and node keys whose halves are decoded
+        while todo:
+            item = todo.pop()
+            if not isinstance(item, np.ndarray):
+                right = trees.pop()
+                done[item] = tree = Pair(trees.pop(), right)
+                open_nodes.remove(item)
+                trees.append(tree)
+                continue
+            if id(item) not in self._rows and self.is_atomic(item):
+                trees.append(Atom(self.registry.nearest(item)[0]))
+                continue
+            row = self._row(item)
+            node = item.tobytes() if row is None else row
+            if node in done:
+                trees.append(done[node])
+                continue
+            if node in open_nodes:
+                raise DecodeError("decode divergence: a pair reaches itself through its halves")
+            open_nodes.add(node)
+            if row is None:
+                halves = (self._project(item, 0), self._project(item, 1))
+            else:
+                halves = self._halves[row]
+            todo += [node, halves[1], halves[0]]
+        return trees[0]
 
     def _log(self, family: str, which: object) -> None:
         if self.branch_log is not None:
@@ -195,26 +234,26 @@ class EvalSession:
     # -- structural operations --------------------------------------------------
 
     def cons(self, a: Vector, b: Vector) -> Vector:
-        v = codec.cons_vec(a, b, self.tags, self.mem)
-        ta = self._known(a)
-        tb = self._known(b)
-        if ta is not None and tb is not None:
-            tree = Pair(ta, tb)
-            self._remember(v, tree)
-            self._vecs.setdefault(tree, v)
-        return v
+        """The pair key of ``a`` and ``b``, hash-consed through the table.
+
+        Halves that are the very objects some row was stored with return
+        that row's key without a bind; otherwise the pair vector is built and
+        interned by its exact bytes.
+        """
+        ids = (id(a), id(b))
+        row = self._built.get(ids)
+        if row is None:
+            new = len(self._keys)
+            row = self._intern(codec.cons_vec(a, b, self.tags), a, b)
+            if row == new:
+                self._built[ids] = row
+        return self._keys[row]
 
     def car(self, c: Vector) -> Vector:
-        t = self._known(c)
-        if isinstance(t, Pair):
-            return self.encode(t.left)
-        return self.mem.recall(self.tags.unbind(self.tags.left, c))
+        return self._project(c, 0)
 
     def cdr(self, c: Vector) -> Vector:
-        t = self._known(c)
-        if isinstance(t, Pair):
-            return self.encode(t.right)
-        return self.mem.recall(self.tags.unbind(self.tags.right, c))
+        return self._project(c, 1)
 
     def eq(self, a: Vector, b: Vector) -> Vector:
         s = hrr.similarity(a, b)
@@ -316,11 +355,10 @@ class EvalSession:
             self._log("apply", "relabel")
             y, e2 = self.relabel(params(), body())
             base = self._lambda_expr(y, e2)
-            marked = base + self.tags.rho
-            known = self._known(base)
-            if known is not None:
-                self._remember(marked, known)
-            return self.lambda_apply(marked, a)
+            # The marked lambda is a key of its own with base's halves; it
+            # stays out of ``_built``, so a cons of those halves returns base.
+            row = self._intern(base + self.tags.rho, *self._halves[self._rows[id(base)]])
+            return self.lambda_apply(self._keys[row], a)
 
         def params_done() -> Vector:
             self._log("apply", "params-done")
@@ -461,7 +499,7 @@ class EvalSession:
 
     def _trace(self, label: str, sim: float) -> None:
         if self.trace_sink is not None:
-            self.trace_sink(f"step={self.steps} head={label} sim={sim:.4f} mem={len(self.mem)}")
+            self.trace_sink(f"step={self.steps} head={label} sim={sim:.4f} mem={len(self.pairs)}")
 
     # -- conveniences -----------------------------------------------------------
 

@@ -9,6 +9,7 @@ reversal.  All operations are deterministic given a registry seed.
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
@@ -77,6 +78,8 @@ class AtomRegistry:
         self.dim = int(dim)
         self.seed = int(seed)
         self._entries: dict[str, Vector] = {}
+        # hash of an atom's bytes -> the names drawn with that hash, in draw order
+        self._by_bytes: dict[int, list[str]] = {}
         self._lock = threading.Lock()
         # The names, the stacked atom vectors and their norms, built on the
         # first ``nearest`` after a new atom is drawn.
@@ -94,6 +97,7 @@ class AtomRegistry:
                 got = rng.normal(0.0, 1.0 / np.sqrt(self.dim), self.dim)
                 got.flags.writeable = False
                 self._entries[name] = got
+                self._by_bytes.setdefault(hash(got.tobytes()), []).append(name)
                 self._table = None
         return got
 
@@ -117,9 +121,15 @@ class AtomRegistry:
             return self._table
 
     def nearest(self, v: Vector) -> tuple[str, float]:
-        """Name and cosine similarity of the registry atom most similar to ``v``."""
+        """Name and cosine similarity of the registry atom most similar to ``v``.
+
+        An atom vector itself, bitwise, is found without a scan and scores 1.0.
+        """
         if not self._entries:
             raise KeyError("empty atom registry")
+        for name in self._by_bytes.get(hash(v.tobytes()), ()):
+            if np.array_equal(self._entries[name], v):
+                return name, 1.0
         names, matrix, atom_norms = self._snapshot()
         norms = atom_norms * np.linalg.norm(v)
         with np.errstate(invalid="ignore", divide="ignore"):
@@ -191,6 +201,12 @@ def unbind(u: Vector, w: Vector) -> Vector:
     return bind(involution(u), w)
 
 
+_EPS = float(np.finfo(np.float64).eps)
+# Norm products of equal vectors in this range come from squared norms that
+# neither overflow nor lose more than a tiny fraction of an ulp to underflow.
+_NORM2_MIN, _NORM2_MAX = 1e-300, 1e300
+
+
 def similarity(u: Vector, v: Vector) -> float | np.ndarray:
     """Cosine similarity in [-1, 1]; zero whenever either operand has zero norm.
 
@@ -206,15 +222,24 @@ def similarity(u: Vector, v: Vector) -> float | np.ndarray:
     if u.ndim > 1 or v.ndim > 1:
         return _similarities(u, v)
     _check_pair(u, v)
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
+    # For a 1-D float64 vector, sqrt of the dot product is bitwise np.linalg.norm.
+    nu = math.sqrt(u @ u)
+    nv = math.sqrt(v @ v)
     if nu == 0.0 or nv == 0.0:
         return 0.0
-    # Equal vectors must score exactly 1.0; the quotient below can round to
-    # one ulp under it, which downstream gate logic treats as meaningful.
-    if u is v or np.array_equal(u, v):
-        return 1.0
-    return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
+    d = nu * nv
+    # A numpy scalar division: inf, NaN and underflow come out as numpy's.
+    s = float((u @ v) / d)
+    # Equal vectors must score exactly 1.0; the quotient can round to one ulp
+    # under it, which downstream gate logic treats as meaningful.  For equal
+    # vectors whose norm product lies in the guarded range, the three dot
+    # products and the sqrt, product and quotient together err by at most
+    # about (dim + 2) eps, a quarter of the band checked here; outside that
+    # range, or for a NaN quotient, the comparison always runs.
+    if not (abs(s - 1.0) > 4 * (u.shape[0] + 2) * _EPS and _NORM2_MIN < d < _NORM2_MAX):
+        if u is v or np.array_equal(u, v):
+            return 1.0
+    return max(min(s, 1.0), -1.0)  # in this order a NaN passes through, as in np.clip
 
 
 def _dots(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -271,8 +296,8 @@ def cascade(
         if abs(g) < t.theta_down:
             continue
         value = payload()
-        # A unit gate is the identity; skipping the multiply keeps the payload
-        # bit-identical, which the evaluator's construction shadow keys on.
+        # A unit gate is the identity; skipping the multiply returns the
+        # payload object itself, which the evaluator's pair table finds by id.
         if g != 1.0:
             value = g * value
         n = float(np.linalg.norm(value))

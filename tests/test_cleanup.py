@@ -361,6 +361,24 @@ def test_screened_recall_returns_the_float64_argmax_row():
     check(clear[:5] + ties)
 
 
+def test_find_is_the_nearest_row_of_every_stored_row():
+    rng = np.random.default_rng(31)
+    n = 512
+    base = unit_rows(rng, 40, n)
+    twins = unit_rows(np.random.default_rng(32), 40, n) * 1e-5 + base  # cosine about 1 - 5e-11 with base
+    mem = CleanupMemory(n)
+    mem.extend(np.concatenate([base, twins / np.linalg.norm(twins, axis=1, keepdims=True)]))
+    for i, row in enumerate(mem.traces):
+        assert mem.find(row) == mem.nearest(row) == i
+        assert mem.find(row.copy()) == i
+        nudged = row.copy()
+        nudged[0] = np.nextafter(nudged[0], np.inf)
+        assert mem.find(nudged) is None
+    mem.append(mem.traces[3].copy(), dedup=False)  # an exact duplicate: the lower index wins both
+    assert mem.find(mem.traces[-1]) == mem.nearest(mem.traces[-1]) == 3
+    assert mem.find(np.zeros(n)) is None
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN and infinite probes and rows
 def test_screened_shortlist_is_the_float64_argsort():
     rng = np.random.default_rng(27)

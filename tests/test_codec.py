@@ -45,29 +45,30 @@ def test_tagset_role_spectra_bind_bitwise_as_hrr_does():
 
 
 def test_cons_vec_matches_the_role_binding_formula():
-    reg, tags, mem = fresh()
+    reg, tags, _ = fresh()
     a = reg.vector("A")
     b = reg.vector("B")
-    got = codec.cons_vec(a, b, tags, mem)
+    got = codec.cons_vec(a, b, tags)
     want = hrr.normalize(hrr.bind(tags.left, a) + hrr.bind(tags.right, b) + tags.phi)
     assert np.array_equal(got, want)
 
 
-def test_cons_vec_stores_both_halves():
+def test_encode_stores_both_halves_of_each_pair():
     reg, tags, mem = fresh()
-    a = reg.vector("A")
-    b = reg.vector("B")
-    codec.cons_vec(a, b, tags, mem)
-    assert len(mem) == 2
-    assert np.array_equal(mem.traces[0], a)
-    assert np.array_equal(mem.traces[1], b)
+    a, b, c = (reg.vector(n) for n in "ABC")
+    codec.encode(parse("((A . B) . C)"), reg, mem)
+    # Bottom up, left half before right: A and B, then (A . B) and C.
+    want = [a, b, codec.cons_vec(a, b, tags), c]
+    assert len(mem) == len(want)
+    for row, v in zip(mem.traces, want):
+        assert row.tobytes() == v.tobytes()
 
 
 def test_atomicity_probe():
     reg, tags, mem = fresh()
     assert codec.is_atomic_vec(reg.vector("A"), tags, THRESH)
     assert codec.is_atomic_vec(tags.nil, tags, THRESH)
-    pair = codec.cons_vec(reg.vector("A"), reg.vector("B"), tags, mem)
+    pair = codec.cons_vec(reg.vector("A"), reg.vector("B"), tags)
     assert not codec.is_atomic_vec(pair, tags, THRESH)
 
 
@@ -75,7 +76,9 @@ def test_unbind_recall_recovers_pair_halves():
     reg, tags, mem = fresh()
     a = reg.vector("A")
     b = reg.vector("B")
-    v = codec.cons_vec(a, b, tags, mem)
+    v = codec.cons_vec(a, b, tags)
+    mem.append(a)
+    mem.append(b)
     assert np.array_equal(mem.recall(hrr.unbind(tags.left, v)), a)
     assert np.array_equal(mem.recall(hrr.unbind(tags.right, v)), b)
 
@@ -84,8 +87,7 @@ def test_encode_composes_cons_vec_bottom_up():
     reg, tags, mem = fresh()
     tree = parse("(A . B)")
     got = codec.encode(tree, reg, mem)
-    mem2 = CleanupMemory(DIM)
-    want = codec.cons_vec(reg.vector("A"), reg.vector("B"), tags, mem2)
+    want = codec.cons_vec(reg.vector("A"), reg.vector("B"), tags)
     assert np.array_equal(got, want)
 
 
@@ -243,7 +245,10 @@ def test_decode_walks_lists_deeper_than_the_recursion_limit():
     names = [f"X{i}" for i in range(40)]
     v = tags.nil
     for name in reversed(names):  # a cons loop: encode itself recurses
-        v = codec.cons_vec(reg.vector(name), v, tags, mem)
+        a = reg.vector(name)
+        mem.append(a)
+        mem.append(v)
+        v = codec.cons_vec(a, v, tags)
     limit = sys.getrecursionlimit()
     # Room for this frame's callees, far less than one frame per list element.
     sys.setrecursionlimit(len(inspect.stack()) + 30)

@@ -36,28 +36,121 @@ def test_cons_halves_come_back_bit_identical():
     assert np.array_equal(sess.cdr(c), b)
 
 
-def test_the_shadow_knows_bitwise_copies_and_freezes_what_it_holds():
+def test_a_bitwise_copy_of_a_key_projects_to_the_same_halves():
     sess = fresh()
-    c = sess.cons(sess.encode(Atom("A")), sess.encode(Atom("B")))
-    assert sess._known(c) == Pair(Atom("A"), Atom("B"))  # the held object itself
-    assert sess._known(c.copy()) == Pair(Atom("A"), Atom("B"))
-    with pytest.raises(ValueError):
-        c += 1.0  # an in-place write would silently corrupt the shadow
+    a, b = sess.encode(Atom("A")), sess.encode(Atom("B"))
+    c = sess.cons(a, b)
+    copy = c.copy()
+    assert sess.pairs.find(copy) == 0
+    assert sess.car(copy) is a and sess.cdr(copy) is b
+
+
+def test_a_nudged_key_projects_through_the_nearest_key(monkeypatch):
+    sess = fresh()
+    a, b = sess.encode(Atom("A")), sess.encode(Atom("B"))
+    c = sess.cons(a, b)
+    sess.cons(b, a)
     nudged = c.copy()
     nudged[0] = np.nextafter(nudged[0], np.inf)
-    assert sess._known(nudged) is None
+    assert sess.pairs.find(nudged) is None
+    scans = []
+    nearest = sess.pairs.nearest
+    monkeypatch.setattr(sess.pairs, "nearest", lambda p: scans.append(p) or nearest(p))
+    assert sess.car(nudged) is a and sess.cdr(nudged) is b
+    assert len(scans) == 2
 
 
-def test_projection_falls_back_to_memory_recall():
-    # A pair vector the session never built itself has no shadow entry, so the
-    # halves must come back through unbind plus cleanup recall.
+def test_stored_keys_and_halves_are_read_only():
+    sess = fresh()
+    a = sess.encode(Atom("A")) * 0.5  # a fresh, writeable half
+    b = sess.encode(Atom("B"))
+    c = sess.cons(a, b)
+    for v in (c, a):
+        with pytest.raises(ValueError):
+            v += 1.0  # an in-place write would silently corrupt the table
+    assert sess.cons(a, b) is c
+
+
+def test_a_repeated_cons_of_held_halves_binds_nothing(monkeypatch):
+    sess = fresh()
+    a, b = sess.encode(Atom("A")), sess.encode(Atom("B"))
+    c = sess.cons(a, b)
+    binds = []
+    bind = hrr.bind
+    monkeypatch.setattr(hrr, "bind", lambda *args, **kw: binds.append(1) or bind(*args, **kw))
+    assert sess.cons(a, b) is c
+    assert binds == []
+    # Bitwise copies are not the held objects: they bind, and intern to the same key.
+    again = sess.cons(a.copy(), b.copy())
+    assert len(binds) == 2
+    assert again.tobytes() == c.tobytes() and len(sess.pairs) == 1
+
+
+def test_evaluation_stores_no_halves_in_the_flat_memory_and_never_calls_codec_decode(monkeypatch):
+    from veclisp import corpus
+
+    def forbidden(*args, **kw):
+        raise AssertionError("a session called codec.decode")
+
+    monkeypatch.setattr(codec, "decode", forbidden)
+    for name, sources in corpus.PROGRAMS:
+        sess = EvalSession(SessionConfig())
+        for src in sources:
+            try:
+                sess.run_text(src)
+            except EvalError:
+                pass  # the corpus's error programs; the vector side's errors are its own
+        assert len(sess.mem) == 3, name  # NIL, T and F
+        assert len(sess.pairs) > 0, name
+
+
+def test_a_long_quoted_list_decodes_without_a_depth_limit():
+    sess = fresh(dim=512, seed=5)
+    text = "(" + " ".join(f"X{i}" for i in range(100)) + ")"
+    assert run(sess, f"(QUOTE {text})") == text
+
+
+def test_decode_visits_a_repeated_row_once(monkeypatch):
+    sess = fresh()
+    v = sess.encode(parse("((A B) (A B))"))
+    calls = []
+    nearest = sess.registry.nearest
+    monkeypatch.setattr(sess.registry, "nearest", lambda x: calls.append(1) or nearest(x))
+    assert to_text(sess.decode(v)) == "((A B) (A B))"
+    # A, B and NIL under the shared (A B) row, then the spine's last NIL; a
+    # walk that decoded the row twice would look up 7 atoms.
+    assert len(calls) == 4
+
+
+def test_a_row_that_reaches_itself_raises_decode_error():
+    # x is not a key, so it projects through the nearest key: the very row
+    # that holds it as a half.
+    sess = fresh()
+    x = codec.cons_vec(sess.encode(Atom("C")), sess.encode(Atom("D")), sess.tags)
+    r = sess.cons(sess.encode(Atom("A")), x)
+    assert len(sess.pairs) == 1
+    assert hrr.similarity(x, r) >= sess.thresholds.theta_down
+    with pytest.raises(codec.DecodeError):
+        sess.decode(r)
+
+
+def test_projection_without_a_near_key_falls_back_to_memory_recall():
+    # A pair vector with no key at or above theta_down, here in an empty
+    # table, gets its halves back through unbind plus cleanup recall.
     sess = fresh()
     a = sess.encode(Atom("A"))
     b = sess.encode(Atom("B"))
-    c = codec.cons_vec(a, b, sess.tags, sess.mem)
-    assert sess._known(c) is None
+    sess.mem.append(a)
+    sess.mem.append(b)
+    c = codec.cons_vec(a, b, sess.tags)
     assert np.array_equal(sess.car(c), a)
     assert np.array_equal(sess.cdr(c), b)
+    # With a key present: a probe without the PHI marker stays below it.
+    sess.cons(sess.encode(Atom("X")), sess.encode(Atom("Y")))
+    probe = hrr.normalize(sess.tags.bind(sess.tags.left, a) + sess.tags.bind(sess.tags.right, b))
+    assert hrr.similarity(probe, sess.pairs.traces[0]) < sess.thresholds.theta_down
+    assert np.array_equal(sess.car(probe), a)
+    assert np.array_equal(sess.cdr(probe), b)
 
 
 def test_eq_blend_is_truthy_only_for_the_same_atom():
@@ -313,7 +406,10 @@ def test_trace_lines_report_step_head_and_similarity():
     lines = []
     sess.trace_sink = lines.append
     run(sess, "(QUOTE A)")
-    assert lines == [f"step=1 head=QUOTE sim=1.0000 mem={len(sess.mem)}"]
+    # mem= counts the pair table's rows: (QUOTE A) is the two pairs (QUOTE . (A)) and (A).
+    assert lines == ["step=1 head=QUOTE sim=1.0000 mem=2"]
+    run(sess, "(CONS (QUOTE B) ())")
+    assert len(sess.pairs) > 2 and lines[-1].endswith(f" mem={len(sess.pairs)}")
 
 
 def test_session_runs_on_a_softmax_memory():

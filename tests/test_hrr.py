@@ -138,6 +138,47 @@ def test_similarity_rejects_dimension_mismatch():
         hrr.similarity(np.zeros(4), np.zeros(5))
 
 
+def norm_and_clip_similarity(u, v):
+    """The scalar similarity body as np.linalg.norm and np.clip wrote it."""
+    nu = np.linalg.norm(u)
+    nv = np.linalg.norm(v)
+    if nu == 0.0 or nv == 0.0:
+        return 0.0
+    if u is v or np.array_equal(u, v):
+        return 1.0
+    return float(np.clip(u @ v / (nu * nv), -1.0, 1.0))
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 2048])
+def test_scalar_similarity_is_bitwise_the_norm_and_clip_form(n):
+    rng = np.random.default_rng(n)
+    bases = [rng.normal(0.0, 1.0, n) for _ in range(20)] + [np.full(n, 0.1), np.arange(1.0, n + 1.0)]
+    pairs = []
+    for u in bases:
+        v = rng.normal(0.0, 1.0, n)
+        for w in (u, u.copy(), -u, 3.0 * u, 0.3 * u, v, np.zeros(n)):
+            pairs.append((u, w))
+        nudged = u.copy()
+        nudged[-1] = np.nextafter(nudged[-1], np.inf)
+        pairs.append((u, nudged))
+        # Tiny and huge norms: squared norms that underflow, lose precision
+        # or overflow, alone or with the other operand in range.
+        for scale in (1e-320, 1e-200, 1e-160, 1e-150, 1e-140, 1e140, 1e150, 1e155, 1e160, 1e200):
+            pairs += [(scale * u, scale * u), (scale * u, (scale * u).copy()), (scale * u, 2.0 * scale * u),
+                      (scale * u, scale * v), (scale * u, u)]
+        for bad in (np.inf, -np.inf, np.nan):
+            w = u.copy()
+            w[0] = bad
+            pairs += [(w, w), (w, w.copy()), (w, u), (w, 2.0 * w)]
+    with np.errstate(all="ignore"):
+        for u, w in pairs:
+            for a, b in ((u, w), (w, u)):
+                want = norm_and_clip_similarity(a, b)
+                got = hrr.similarity(a, b)
+                assert type(got) is type(want) is float
+                assert np.float64(got).tobytes() == np.float64(want).tobytes(), (a[:2], b[:2])
+
+
 def test_stacked_similarity_is_bitwise_the_float_of_each_pair():
     rng = np.random.default_rng(12)
     n = 300
@@ -371,6 +412,21 @@ def test_registry_nearest_cleans_a_noisy_atom():
     noisy = reg.vector("A3") + rng.normal(0.0, 0.01, 512)
     name, sim = reg.nearest(noisy)
     assert name == "A3" and sim > 0.9
+
+
+def test_registry_nearest_finds_every_drawn_atom_exactly():
+    reg = AtomRegistry(256, seed=16)
+    names = [f"A{i}" for i in range(12)]
+    for k, name in enumerate(names):
+        reg.vector(name)
+        for seen in names[: k + 1]:
+            assert reg.nearest(reg.vector(seen)) == (seen, 1.0)
+            assert reg.nearest(reg.vector(seen).copy()) == (seen, 1.0)
+    assert reg._table is None  # no lookup needed the stacked atoms
+    nudged = reg.vector("A4").copy()
+    nudged[0] = np.nextafter(nudged[0], np.inf)
+    name, sim = reg.nearest(nudged)  # a scan, which stacks them
+    assert name == "A4" and reg._table is not None
 
 
 def test_registry_nearest_follows_new_atoms():
