@@ -3,25 +3,29 @@
 A pair is the normalized superposition of its halves bound to the role tags L
 and R, plus the structure marker PHI; encoding a tree stores both halves of
 each pair in a cleanup memory so they can be recovered later by
-unbind-and-recall.  Atoms are registry draws.  Reserved tag names start with
-'#', which the reader cannot produce, so they never collide with user atoms;
-NIL, T and F are deliberately the ordinary atoms of those names.
+unbind-and-recall.  An evaluation session keeps its pairs in a ``PairTable``
+instead, which holds each pair's key with its two halves.  Atoms are registry
+draws.  Reserved tag names start with '#', which the reader cannot produce, so
+they never collide with user atoms; NIL, T and F are deliberately the ordinary
+atoms of those names.
 """
 from __future__ import annotations
 
 import weakref
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 from . import hrr
 from .cleanup import CleanupMemory
-from .hrr import AtomRegistry, Thresholds, Vector
+from .hrr import AtomRegistry, DimensionMismatch, Thresholds, Vector
 from .reader import Atom, Pair, SExpr
 
 __all__ = [
     "TagSet",
+    "PairTable",
     "DecodeError",
     "DONE_NAME",
     "GENSYM_PREFIX",
@@ -54,6 +58,11 @@ class TagSet:
     of each role tag and of its involution and keeps them; ``bind`` and
     ``unbind`` use them and return bitwise what ``hrr.bind`` and
     ``hrr.unbind`` return, for one vector or a stack of shape (n, dim).
+
+    The role binds of the registry's own atoms are computed once and kept,
+    read-only, for as long as the tag set lives: atoms recur as pair halves
+    far more often than anything else.  Each kept bind also holds its atom,
+    so the id it is found by cannot pass to another object.
     """
 
     left: Vector
@@ -64,6 +73,13 @@ class TagSet:
     true: Vector
     false: Vector
     done: Vector
+    # Weakly: ``_TAG_SETS`` holds the tag set as long as the registry lives,
+    # so a strong reference back would keep both alive for good.
+    registry: Callable[[], AtomRegistry | None] = field(repr=False, compare=False)
+    # (id of a role tag, id of a registry atom) -> (the atom, role * atom)
+    _atom_binds: dict[tuple[int, int], tuple[Vector, Vector]] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     @cached_property
     def _roles(self) -> dict[int, tuple[np.ndarray, Vector, np.ndarray]]:
@@ -88,12 +104,46 @@ class TagSet:
                 true=registry.vector("T"),
                 false=registry.vector("F"),
                 done=registry.vector(DONE_NAME),
+                registry=weakref.ref(registry),
             )
         return tags
 
+    @cached_property
+    def _pair_spectra(self) -> np.ndarray:
+        """The spectra of L and R, stacked as the rows of a pair's two binds."""
+        return np.stack([self._roles[id(self.left)][0], self._roles[id(self.right)][0]])
+
     def bind(self, role: Vector, v: Vector) -> Vector:
         """``hrr.bind(role, v)`` for ``role`` the tag set's ``left`` or ``right``."""
-        return hrr.bind(role, v, spectrum=self._roles[id(role)][0])
+        hit = self._atom_binds.get((id(role), id(v)))
+        if hit is not None:
+            return hit[1]
+        return self._keep(role, v, hrr.bind(role, v, spectrum=self._roles[id(role)][0]))
+
+    def bind_halves(self, a: Vector, b: Vector) -> tuple[Vector, Vector]:
+        """``(bind(left, a), bind(right, b))``, bitwise, from at most one stacked FFT round trip."""
+        jobs = ((self.left, a), (self.right, b))
+        out = [self._atom_binds.get((id(role), id(v)), (None, None))[1] for role, v in jobs]
+        todo = [i for i in (0, 1) if out[i] is None]
+        if todo:
+            operands = [jobs[i][1] for i in todo]
+            for v in operands:
+                if v.shape != self.left.shape:
+                    raise DimensionMismatch(f"cannot bind shape {v.shape} to shape {self.left.shape}")
+            bound = hrr.bind_spectra(self._pair_spectra[todo], np.fft.rfft(np.stack(operands)), len(self.left))
+            for i, row in zip(todo, bound):
+                out[i] = self._keep(*jobs[i], row)
+        return out[0], out[1]
+
+    def _keep(self, role: Vector, v: Vector, bound: Vector) -> Vector:
+        """``bound``, the bind of ``role`` and ``v``, kept first if ``v`` is a registry atom."""
+        registry = self.registry()
+        if registry is None or not registry.holds(v):
+            return bound
+        bound = bound.copy()  # a row of a stacked bind would keep its whole stack alive
+        bound.flags.writeable = False
+        self._atom_binds[(id(role), id(v))] = (v, bound)
+        return bound
 
     def unbind(self, role: Vector, w: Vector) -> Vector:
         """``hrr.unbind(role, w)`` for ``role`` the tag set's ``left`` or ``right``."""
@@ -106,7 +156,8 @@ _TAG_SETS: "weakref.WeakKeyDictionary[AtomRegistry, TagSet]" = weakref.WeakKeyDi
 
 def cons_vec(a: Vector, b: Vector, tags: TagSet) -> Vector:
     """Pair constructor: normalize(L*a + R*b + PHI)."""
-    return hrr.normalize(tags.bind(tags.left, a) + tags.bind(tags.right, b) + tags.phi)
+    left, right = tags.bind_halves(a, b)
+    return hrr.normalize(left + right + tags.phi)
 
 
 def is_atomic_vec(v: Vector, tags: TagSet, t: Thresholds) -> bool | np.ndarray:
@@ -115,6 +166,110 @@ def is_atomic_vec(v: Vector, tags: TagSet, t: Thresholds) -> bool | np.ndarray:
     For a stack of vectors the answer is one bool per vector.
     """
     return hrr.similarity(v, tags.phi) < t.theta_down
+
+
+class PairTable:
+    """A session's hash-consed pairs: each key with the two halves it was built from.
+
+    Row i holds the key ``keys[i]`` and its halves ``halves[i]``.  Keys and
+    halves are held for the life of the table and made read-only when
+    stored, so an id found in the table's id maps names the same bytes for
+    as long as the table lives: one from the id of a key to its row, one from
+    the ids of a left and a right half to the row first built from exactly
+    those objects.  A third map, from the hash of a key's bytes to its rows,
+    finds bitwise copies without a scan.  The keys are stacked into a
+    float64 matrix only when a probe is first ranked against them.
+    """
+
+    def __init__(self, dim: int) -> None:
+        self.dim = int(dim)
+        self.keys: list[Vector] = []
+        self.halves: list[tuple[Vector, Vector]] = []
+        self._rows: dict[int, int] = {}
+        self._built: dict[tuple[int, int], int] = {}
+        self._by_bytes: dict[int, list[int]] = {}
+        self._matrix: Vector | None = None  # rows [0, _filled) hold keys[0:_filled]
+        self._filled = 0
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def cons(self, a: Vector, b: Vector, tags: TagSet) -> Vector:
+        """The key of the pair of ``a`` and ``b``, built only for halves not seen together before.
+
+        Halves that are the very objects some row was built from return that
+        row's key without a bind; otherwise the pair vector is built and
+        interned by its exact bytes.
+        """
+        ids = (id(a), id(b))
+        row = self._built.get(ids)
+        if row is None:
+            new = len(self.keys)
+            row = self.intern(cons_vec(a, b, tags), a, b)
+            if row == new:
+                self._built[ids] = row
+        return self.keys[row]
+
+    def intern(self, key: Vector, left: Vector, right: Vector) -> int:
+        """The row of the key bitwise equal to ``key``, storing it with these halves if new."""
+        digest = hash(key.tobytes())
+        row = self._find(key, digest)
+        if row is None:
+            row = len(self.keys)
+            for v in (key, left, right):
+                v.flags.writeable = False  # the table holds them; an in-place write must fail
+            self.keys.append(key)
+            self.halves.append((left, right))
+            self._rows[id(key)] = row
+            self._by_bytes.setdefault(digest, []).append(row)
+        return row
+
+    def held(self, v: Vector) -> int | None:
+        """The row whose key is the very object ``v``, or None."""
+        return self._rows.get(id(v))
+
+    def row(self, v: Vector, floor: float) -> int | None:
+        """The row that answers a probe: by identity, exact bytes, then nearest key.
+
+        None when the table is empty or no key reaches a cosine of ``floor``
+        with ``v``.
+        """
+        row = self._rows.get(id(v))
+        if row is not None or not self.keys:
+            return row
+        row = self.find(v)
+        if row is None:
+            row = self.nearest(v)
+            if not hrr.similarity(v, self.keys[row]) >= floor:
+                return None
+        return row
+
+    def find(self, t: Vector) -> int | None:
+        """The lowest row whose key is bitwise equal to ``t``, or None."""
+        return self._find(t, hash(t.tobytes()))
+
+    def _find(self, t: Vector, digest: int) -> int | None:
+        for i in self._by_bytes.get(digest, ()):
+            if np.array_equal(self.keys[i], t):
+                return i
+        return None
+
+    def nearest(self, p: Vector) -> int:
+        """The row whose key has the highest dot product with ``p``; ties go to the lowest row."""
+        return int(np.argmax(self.traces @ p))
+
+    @property
+    def traces(self) -> Vector:
+        """The keys as the rows of one float64 matrix; keys added since the last call are copied in now."""
+        m = len(self.keys)
+        if self._matrix is None or len(self._matrix) < m:
+            old, self._matrix = self._matrix, np.empty((max(16, 2 * m), self.dim))
+            if self._filled:
+                self._matrix[: self._filled] = old[: self._filled]
+        if self._filled < m:
+            self._matrix[self._filled : m] = self.keys[self._filled : m]
+            self._filled = m
+        return self._matrix[:m]
 
 
 def encode(e: SExpr, registry: AtomRegistry, mem: CleanupMemory) -> Vector:

@@ -3,11 +3,14 @@
 Every operation here works on encoded vectors.  Branching is expressed with the
 saturating lazy cascade: each alternative is a deferred computation scaled by a
 guard similarity, and an alternative whose guard is already below theta_down is
-never forced.  Pairs live in the session's pair table, a lookup cleanup memory
-keyed by whole pair vectors that holds each key's two halves; CONS interns into
-it and CAR, CDR and decode read from it.  A flat cleanup memory holds NIL, T
-and F for truth snaps, and function definitions live in a second lookup store
-keyed by bound names.
+never forced.  Pairs live in the session's pair table (``codec.PairTable``),
+which holds each pair key with its two halves and finds a key by identity, by
+its exact bytes or, for any other probe, as the stored key of highest dot
+product; CONS interns into it and CAR, CDR and decode read from it.  A flat
+cleanup memory holds NIL, T and F for truth snaps, and function definitions
+live in a lookup store keyed by bound names.  Similarities between two
+read-only vectors, which the session holds and never changes, are computed
+once per session.
 
 A session owns the registry, the memories, the reserved tags and the step
 budget; REPL lines share one session so definitions and stored pairs persist.
@@ -115,17 +118,10 @@ class EvalSession:
         self.trace_sink: Callable[[str], None] | None = None
         self._gensym_counter = 0
         self._builtin_vectors = [self.registry.vector(n) for n in BUILTIN_ORDER]
-        # The pair table: row i of ``pairs`` is the key ``_keys[i]`` and
-        # ``_halves[i]`` its (left, right).  Keys and halves are held for the
-        # life of the session and made read-only when stored, so an id found
-        # in ``_rows`` (id of a key -> its row) or ``_built`` (ids of a
-        # left and right half -> the row first stored with exactly those
-        # halves) names the same bytes.
-        self.pairs = CleanupMemory(c.dim, "lookup")
-        self._keys: list[Vector] = []
-        self._halves: list[tuple[Vector, Vector]] = []
-        self._rows: dict[int, int] = {}
-        self._built: dict[tuple[int, int], int] = {}
+        self.pairs = codec.PairTable(c.dim)
+        # (id(u), id(v)) -> (similarity(u, v), u, v) for read-only u and v;
+        # holding both operands keeps their ids from passing to new objects.
+        self._sims: dict[tuple[int, int], tuple[float, Vector, Vector]] = {}
 
     # -- plumbing -------------------------------------------------------------
 
@@ -133,42 +129,29 @@ class EvalSession:
     def dim(self) -> int:
         return self.config.dim
 
-    def is_atomic(self, v: Vector) -> bool:
-        return codec.is_atomic_vec(v, self.tags, self.thresholds)
+    def _sim(self, u: Vector, v: Vector) -> float:
+        """``hrr.similarity(u, v)``, computed once per session when both operands are read-only."""
+        if u.flags.writeable or v.flags.writeable:
+            return hrr.similarity(u, v)
+        key = (id(u), id(v))
+        hit = self._sims.get(key)
+        if hit is None:
+            hit = self._sims[key] = (hrr.similarity(u, v), u, v)
+        return hit[0]
 
-    def _intern(self, key: Vector, left: Vector, right: Vector) -> int:
-        """The row of the key bitwise equal to ``key``, storing it with these halves if new."""
-        row = self.pairs.find(key)
-        if row is None:
-            row = len(self._keys)
-            for v in (key, left, right):
-                v.flags.writeable = False  # the table holds them; an in-place write must fail
-            self.pairs.append(key, dedup=False)
-            self._keys.append(key)
-            self._halves.append((left, right))
-            self._rows[id(key)] = row
-        return row
+    def is_atomic(self, v: Vector) -> bool:
+        """``codec.is_atomic_vec`` of one vector."""
+        return self._sim(v, self.tags.phi) < self.thresholds.theta_down
 
     def _row(self, v: Vector) -> int | None:
-        """The table row that answers a probe: by identity, exact bytes, then nearest key.
-
-        None when no key reaches a cosine of ``theta_down`` with ``v``.
-        """
-        row = self._rows.get(id(v))
-        if row is not None or not self._keys:
-            return row
-        row = self.pairs.find(v)
-        if row is None:
-            row = self.pairs.nearest(v)
-            if not hrr.similarity(v, self._keys[row]) >= self.thresholds.theta_down:
-                return None
-        return row
+        """The table row that answers a probe; None when no key reaches a cosine of ``theta_down``."""
+        return self.pairs.row(v, self.thresholds.theta_down)
 
     def _project(self, c: Vector, side: int) -> Vector:
         """Half ``side`` (0 left, 1 right) of ``c`` from the table, else by unbind plus recall."""
         row = self._row(c)
         if row is not None:
-            return self._halves[row][side]
+            return self.pairs.halves[row][side]
         return self.mem.recall(self.tags.unbind((self.tags.left, self.tags.right)[side], c))
 
     def encode(self, e: SExpr) -> Vector:
@@ -197,7 +180,7 @@ class EvalSession:
                 open_nodes.remove(item)
                 trees.append(tree)
                 continue
-            if id(item) not in self._rows and self.is_atomic(item):
+            if self.pairs.held(item) is None and self.is_atomic(item):
                 trees.append(Atom(self.registry.nearest(item)[0]))
                 continue
             row = self._row(item)
@@ -211,7 +194,7 @@ class EvalSession:
             if row is None:
                 halves = (self._project(item, 0), self._project(item, 1))
             else:
-                halves = self._halves[row]
+                halves = self.pairs.halves[row]
             todo += [node, halves[1], halves[0]]
         return trees[0]
 
@@ -229,25 +212,13 @@ class EvalSession:
         return f"{codec.GENSYM_PREFIX}{self._gensym_counter}"
 
     def _is_nil(self, v: Vector) -> bool:
-        return hrr.similarity(v, self.tags.nil) >= self.thresholds.theta_up
+        return self._sim(v, self.tags.nil) >= self.thresholds.theta_up
 
     # -- structural operations --------------------------------------------------
 
     def cons(self, a: Vector, b: Vector) -> Vector:
-        """The pair key of ``a`` and ``b``, hash-consed through the table.
-
-        Halves that are the very objects some row was stored with return
-        that row's key without a bind; otherwise the pair vector is built and
-        interned by its exact bytes.
-        """
-        ids = (id(a), id(b))
-        row = self._built.get(ids)
-        if row is None:
-            new = len(self._keys)
-            row = self._intern(codec.cons_vec(a, b, self.tags), a, b)
-            if row == new:
-                self._built[ids] = row
-        return self._keys[row]
+        """The pair key of ``a`` and ``b``, hash-consed through the table."""
+        return self.pairs.cons(a, b, self.tags)
 
     def car(self, c: Vector) -> Vector:
         return self._project(c, 0)
@@ -256,16 +227,16 @@ class EvalSession:
         return self._project(c, 1)
 
     def eq(self, a: Vector, b: Vector) -> Vector:
-        s = hrr.similarity(a, b)
+        s = self._sim(a, b)
         return s * self.tags.true + (1.0 - s) * self.tags.false
 
     def atom(self, a: Vector, n: Vector) -> Vector:
         """Atom test; ``n`` is the call tail and anything non-NIL poisons it to F."""
         t = self.thresholds
-        s_a = hrr.similarity(a, self.tags.phi)
+        s_a = self._sim(a, self.tags.phi)
         blend = s_a * self.tags.false + max(0.0, 2.0 * t.theta_down - s_a) * self.tags.true
         cleaned = self.mem.recall(blend)
-        s_n = hrr.similarity(n, self.tags.nil)
+        s_n = self._sim(n, self.tags.nil)
         return s_n * cleaned + max(0.0, 2.0 * t.theta_down - s_n) * self.tags.false
 
     def quote(self, e: Vector) -> Vector:
@@ -279,7 +250,7 @@ class EvalSession:
         return self.tags.done
 
     def truthy(self, v: Vector) -> bool:
-        return hrr.similarity(v, self.tags.true) > hrr.similarity(v, self.tags.false)
+        return self._sim(v, self.tags.true) > self._sim(v, self.tags.false)
 
     # -- conditionals ------------------------------------------------------------
 
@@ -298,7 +269,7 @@ class EvalSession:
             rest = r
             while not self._is_nil(rest):
                 clause = self.car(rest)
-                gate = hrr.similarity(self.eval_vec(self.car(clause)), self.tags.true)
+                gate = self._sim(self.eval_vec(self.car(clause)), self.tags.true)
                 # Both thunks bind this clause's values now; ``partial`` also
                 # keeps the recursion through the clause body to one frame.
                 yield (lambda g=gate: g), partial(take, clause)
@@ -347,7 +318,7 @@ class EvalSession:
         NIL, and otherwise one parameter is substituted away and a lambda over
         the remaining parameters is built.
         """
-        fresh = hrr.similarity(lam, self.tags.rho) < self.thresholds.theta_down
+        fresh = self._sim(lam, self.tags.rho) < self.thresholds.theta_down
         params = _once(lambda: self.car(self.cdr(lam)))
         body = _once(lambda: self.car(self.cdr(self.cdr(lam))))
 
@@ -355,10 +326,10 @@ class EvalSession:
             self._log("apply", "relabel")
             y, e2 = self.relabel(params(), body())
             base = self._lambda_expr(y, e2)
-            # The marked lambda is a key of its own with base's halves; it
-            # stays out of ``_built``, so a cons of those halves returns base.
-            row = self._intern(base + self.tags.rho, *self._halves[self._rows[id(base)]])
-            return self.lambda_apply(self._keys[row], a)
+            # The marked lambda is a key of its own with base's halves; it is
+            # interned, not built, so a cons of those halves still returns base.
+            row = self.pairs.intern(base + self.tags.rho, *self.pairs.halves[self.pairs.held(base)])
+            return self.lambda_apply(self.pairs.keys[row], a)
 
         def params_done() -> Vector:
             self._log("apply", "params-done")
@@ -376,8 +347,8 @@ class EvalSession:
         return hrr.cascade(
             [
                 (lambda: 1.0 if fresh else 0.0, relabel_and_retry),
-                (lambda: hrr.similarity(params(), self.tags.nil), params_done),
-                (lambda: hrr.similarity(body(), self.tags.nil), body_nil),
+                (lambda: self._sim(params(), self.tags.nil), params_done),
+                (lambda: self._sim(body(), self.tags.nil), body_nil),
             ],
             curry,
             self.thresholds,
@@ -401,13 +372,13 @@ class EvalSession:
             return run
 
         alternatives = [
-            (lambda: hrr.similarity(x, nil), lambda: e),
-            (lambda: hrr.similarity(e, nil), lambda: nil),
-            (lambda: hrr.similarity(car_x(), e), car_a),
-            (lambda: hrr.similarity(self.atom(e, nil), self.tags.true), lambda: e),
-            (lambda: hrr.similarity(car_x(), car_e()), lambda: self.cons(car_a(), subst(cdr_e()))),
+            (lambda: self._sim(x, nil), lambda: e),
+            (lambda: self._sim(e, nil), lambda: nil),
+            (lambda: self._sim(car_x(), e), car_a),
+            (lambda: self._sim(self.atom(e, nil), self.tags.true), lambda: e),
+            (lambda: self._sim(car_x(), car_e()), lambda: self.cons(car_a(), subst(cdr_e()))),
             (
-                lambda: hrr.similarity(self.atom(car_e(), nil), self.tags.false),
+                lambda: self._sim(self.atom(car_e(), nil), self.tags.false),
                 lambda: self.cons(subst(car_e()), subst(cdr_e())),
             ),
         ]
@@ -430,7 +401,7 @@ class EvalSession:
             self._log("fcall", "miss")
             return self.cons(f, a), False
         entry = self.fns.store.recall(self.tags.bind(self.tags.left, f))
-        gate = hrr.similarity(f, self.car(entry))
+        gate = self._sim(f, self.car(entry))
 
         def hit() -> Vector:
             self._log("fcall", "hit")
@@ -453,15 +424,15 @@ class EvalSession:
     def eval_vec(self, v: Vector) -> Vector:
         self._tick()
         if self.is_atomic(v):
-            self._trace("atom", hrr.similarity(v, self.tags.phi))
+            self._trace("atom", self._sim(v, self.tags.phi))
             return v
         head = self.car(v)
         if not self.is_atomic(head):
-            self._trace("lambda", hrr.similarity(head, self.tags.phi))
+            self._trace("lambda", self._sim(head, self.tags.phi))
             lam = self.eval_vec(head)
             a = self._eval_call_args(self.cdr(v))
             return self.eval_vec(self.lambda_apply(lam, a))
-        sims = [hrr.similarity(head, b) for b in self._builtin_vectors]
+        sims = [self._sim(head, b) for b in self._builtin_vectors]
         best = int(np.argmax(sims))
         if sims[best] >= self.thresholds.theta_up:
             name = BUILTIN_ORDER[best]

@@ -27,6 +27,7 @@ __all__ = [
     "DimensionMismatch",
     "DegenerateVector",
     "bind",
+    "bind_spectra",
     "involution",
     "unbind",
     "similarity",
@@ -80,6 +81,9 @@ class AtomRegistry:
         self._entries: dict[str, Vector] = {}
         # hash of an atom's bytes -> the names drawn with that hash, in draw order
         self._by_bytes: dict[int, list[str]] = {}
+        # ids of the drawn vectors: the registry holds every vector it drew,
+        # so while it lives no other object has one of these ids.
+        self._ids: set[int] = set()
         self._lock = threading.Lock()
         # The names, the stacked atom vectors and their norms, built on the
         # first ``nearest`` after a new atom is drawn.
@@ -97,9 +101,14 @@ class AtomRegistry:
                 got = rng.normal(0.0, 1.0 / np.sqrt(self.dim), self.dim)
                 got.flags.writeable = False
                 self._entries[name] = got
+                self._ids.add(id(got))
                 self._by_bytes.setdefault(hash(got.tobytes()), []).append(name)
                 self._table = None
         return got
+
+    def holds(self, v: Vector) -> bool:
+        """Whether ``v`` is the very object the registry drew for one of its names."""
+        return id(v) in self._ids
 
     def names(self) -> list[str]:
         return list(self._entries)
@@ -180,7 +189,16 @@ def bind(u: Vector, v: Vector, *, spectrum: np.ndarray | None = None) -> Vector:
         raise DimensionMismatch(f"cannot bind shape {v.shape} to shape {u.shape}")
     n = u.shape[0]
     fu = np.fft.rfft(u) if spectrum is None else spectrum
-    fv = np.fft.rfft(v)
+    return bind_spectra(fu, np.fft.rfft(v), n)
+
+
+def bind_spectra(fu: np.ndarray, fv: np.ndarray, n: int) -> Vector:
+    """Circular convolution of length ``n`` from the real FFTs of its operands.
+
+    ``fv`` may be a stack of spectra, one per row, and ``fu`` either one
+    spectrum or a stack of the same shape; row i of the result is then
+    bitwise ``bind`` of row i's operands, whatever the other rows hold.
+    """
     # The complex multiply ufunc may fuse with FMA, which breaks bitwise
     # symmetry under operand swap; the split form commutes exactly because
     # IEEE multiplication and addition each do.

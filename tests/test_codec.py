@@ -45,12 +45,80 @@ def test_tagset_role_spectra_bind_bitwise_as_hrr_does():
 
 
 def test_cons_vec_matches_the_role_binding_formula():
-    reg, tags, _ = fresh()
-    a = reg.vector("A")
-    b = reg.vector("B")
-    got = codec.cons_vec(a, b, tags)
-    want = hrr.normalize(hrr.bind(tags.left, a) + hrr.bind(tags.right, b) + tags.phi)
-    assert np.array_equal(got, want)
+    for dim in (64, 257, 2048):
+        reg = AtomRegistry(dim, seed=dim)
+        tags = TagSet.from_registry(reg)
+        a, b, c = (reg.vector(n) for n in "ABC")
+        key = codec.cons_vec(c, c, tags)
+        other = np.random.default_rng(dim).normal(0.0, 1.0 / np.sqrt(dim), dim)
+        # Atom-atom uncached, then cached; one side cached; atom-key; key-key.
+        for x, y in ((a, b), (a, b), (a, c), (c, a), (a, key), (key, b), (key, other), (other, other)):
+            want = hrr.normalize(hrr.bind(tags.left, x) + hrr.bind(tags.right, y) + tags.phi)
+            assert codec.cons_vec(x, y, tags).tobytes() == want.tobytes()
+        # The role binds of an atom are computed once, for ``bind`` as for pairs.
+        kept = tags.bind(tags.left, a)
+        assert kept.tobytes() == hrr.bind(tags.left, a).tobytes() and not kept.flags.writeable
+        assert tags.bind(tags.left, a) is kept and tags.bind(tags.left, other) is not tags.bind(tags.left, other)
+    with pytest.raises(hrr.DimensionMismatch):
+        codec.cons_vec(a, np.zeros(2047), tags)
+
+
+def table_of(keys):
+    """A pair table and a lookup cleanup memory holding ``keys`` in order; each key is its own halves."""
+    table, mem = codec.PairTable(DIM), CleanupMemory(DIM, "lookup")
+    for k in keys:
+        table.intern(k, k, k)
+        mem.append(k, dedup=False)
+    return table, mem
+
+
+def unit_keys(rng, m):
+    return [hrr.normalize(v) for v in rng.normal(size=(m, DIM))]
+
+
+def test_pair_table_finds_the_lowest_row_of_a_bitwise_copy():
+    keys = unit_keys(np.random.default_rng(1), 5)
+    # The copies go in too: the table keeps the first row of those bytes, as
+    # the lookup memory's ``find`` does.
+    table, mem = table_of(keys + [keys[1].copy(), keys[3].copy()])
+    assert len(table) == 5 and len(mem) == 7
+    for i, k in enumerate(keys):
+        assert table.find(k.copy()) == mem.find(k.copy()) == i
+        assert table.intern(k.copy(), k, k) == i
+    nudged = keys[2].copy()
+    nudged[0] = np.nextafter(nudged[0], np.inf)
+    assert table.find(nudged) is None and mem.find(nudged) is None
+
+
+@pytest.mark.parametrize("m", [10, 100])  # below and above the memory's 64-row screen floor
+def test_pair_table_nearest_is_the_lookup_memory_nearest(m):
+    rng = np.random.default_rng(m)
+    keys = unit_keys(rng, m)
+    # Two keys that differ only in the sign of a zero score alike against
+    # every probe; the tie goes to the lower row.
+    keys[3][0] = 0.0
+    keys[m // 2] = keys[3].copy()
+    keys[m // 2][0] = -0.0
+    table, mem = table_of(keys)
+    assert len(table) == m
+    probes = keys + [k + 0.5 * v for k, v in zip(keys, unit_keys(rng, m))] + unit_keys(rng, m)
+    for p in probes:
+        assert table.nearest(p) == mem.nearest(p)
+    assert table.nearest(keys[m // 2]) == 3
+
+
+def test_pair_table_builds_its_key_matrix_on_the_first_scan_only():
+    keys = unit_keys(np.random.default_rng(2), 40)
+    table, _ = table_of(keys[:20])
+    assert table.held(keys[4]) == 4 and table.held(keys[4].copy()) is None
+    assert table.row(keys[5], 0.2) == 5 and table.row(keys[6].copy(), 0.2) == 6
+    assert table._matrix is None
+    assert table.row(keys[7] + 0.1 * keys[8], 0.2) == 7  # no exact key: ranked
+    assert np.array_equal(table.traces, np.stack(keys[:20]))
+    for k in keys[20:]:
+        table.intern(k, k, k)
+    assert np.array_equal(table.traces, np.stack(keys))
+    assert table.row(-keys[9], 0.2) is None  # the nearest key is below the floor
 
 
 def test_encode_stores_both_halves_of_each_pair():

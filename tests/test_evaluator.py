@@ -1,7 +1,9 @@
 """Vector evaluator behavior: structural ops, branching, lambdas, the driver."""
 
+import gc
 import inspect
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -75,15 +77,47 @@ def test_a_repeated_cons_of_held_halves_binds_nothing(monkeypatch):
     sess = fresh()
     a, b = sess.encode(Atom("A")), sess.encode(Atom("B"))
     c = sess.cons(a, b)
-    binds = []
-    bind = hrr.bind
-    monkeypatch.setattr(hrr, "bind", lambda *args, **kw: binds.append(1) or bind(*args, **kw))
+    builds = []
+    cons_vec = codec.cons_vec
+    monkeypatch.setattr(codec, "cons_vec", lambda *args: builds.append(1) or cons_vec(*args))
     assert sess.cons(a, b) is c
-    assert binds == []
-    # Bitwise copies are not the held objects: they bind, and intern to the same key.
+    assert builds == []
+    # Bitwise copies are not the held objects: they build a pair vector once,
+    # which interns to the same key.
     again = sess.cons(a.copy(), b.copy())
-    assert len(binds) == 2
-    assert again.tobytes() == c.tobytes() and len(sess.pairs) == 1
+    assert len(builds) == 1
+    assert again is c and len(sess.pairs) == 1
+
+
+def test_the_atom_bind_cache_dies_with_its_registry():
+    sess = fresh()
+    run(sess, "(CONS (QUOTE A) (CONS (QUOTE B) ()))")
+    assert sess.tags._atom_binds  # A, B and NIL were bound as pair halves
+    registry, tags = weakref.ref(sess.registry), weakref.ref(sess.tags)
+    del sess
+    gc.collect()
+    assert registry() is None and tags() is None
+
+
+def test_similarities_of_read_only_operands_are_computed_once(monkeypatch):
+    sess = fresh()
+    a, b = sess.encode(Atom("A")), sess.encode(Atom("B"))
+    key = sess.cons(a, b)
+    pairs = ((a, b), (key, sess.tags.phi), (b, key), (key, key))
+    want = [np.float64(hrr.similarity(u, v)).tobytes() for u, v in pairs]
+    calls = []
+    similarity = hrr.similarity
+    monkeypatch.setattr(hrr, "similarity", lambda u, v: calls.append(1) or similarity(u, v))
+    for _ in range(3):
+        assert [np.float64(sess._sim(u, v)).tobytes() for u, v in pairs] == want
+    assert len(calls) == len(pairs)
+    # A writeable operand, on either side, is never memoized: a write between
+    # two calls shows in the second.
+    for w, other in ((a.copy(), b), (b.copy(), a)):
+        args = [(w, other), (other, w)]
+        first = [sess._sim(u, v) for u, v in args]
+        w[:] = other
+        assert max(first) < 0.5 and [sess._sim(u, v) for u, v in args] == [1.0, 1.0]
 
 
 def test_evaluation_stores_no_halves_in_the_flat_memory_and_never_calls_codec_decode(monkeypatch):
