@@ -348,13 +348,9 @@ class CleanupMemory:
         self._m += 1
         return self
 
-    def extend(self, rows: Vector, *, dedup: bool = False) -> "CleanupMemory":
-        """Bulk-append rows; deduplication is off by default for speed."""
+    def extend(self, rows: Vector) -> "CleanupMemory":
+        """Bulk-append rows without deduplication."""
         rows = np.atleast_2d(rows)
-        if dedup:
-            for r in rows:
-                self.append(r)
-            return self
         k = rows.shape[0]
         self._grow_to(self._m + k)
         self._buf[self._m : self._m + k] = rows

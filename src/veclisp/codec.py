@@ -46,7 +46,7 @@ DECODE_DEPTH_LIMIT = 64
 
 
 class DecodeError(RuntimeError):
-    """Decoding walked deeper than the depth limit, or no split of a pair node scored a number."""
+    """Decoding found no stored answer for a pair node, or its walk diverged or passed the depth limit."""
 
 
 @dataclass(frozen=True)

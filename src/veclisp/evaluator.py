@@ -4,22 +4,22 @@ Every operation here works on encoded vectors.  Branching is expressed with the
 saturating lazy cascade: each alternative is a deferred computation scaled by a
 guard similarity, and an alternative whose guard is already below theta_down is
 never forced.  Pairs live in the session's pair table (``codec.PairTable``),
-which holds each pair key with its two halves and finds a key by identity, by
-its exact bytes or, for any other probe, as the stored key of highest dot
-product; CONS interns into it and CAR, CDR and decode read from it.  A flat
-cleanup memory holds NIL, T and F for truth snaps, and function definitions
-live in a lookup store keyed by bound names.  Similarities between two
-read-only vectors, which the session holds and never changes, are computed
-once per session.
+which holds each unit-norm pair key with its halves and answers a probe by
+identity, exact bytes or highest cosine, or raises; CONS interns into it, CAR
+and CDR read from it, and decode and relabel are one fold over it, so
+evaluation builds no tree.  A flat cleanup memory holds NIL, T and F for
+ATOM's truth snap, and function definitions live in a lookup store keyed by
+bound names.  Similarities between two read-only vectors, which the session
+holds and never changes, are computed once per session.
 
 A session owns the registry, the memories, the reserved tags and the step
 budget; REPL lines share one session so definitions and stored pairs persist.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Iterator
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -40,6 +40,8 @@ __all__ = [
 
 BUILTIN_ORDER = ("CONS", "CAR", "CDR", "EQ", "ATOM", "QUOTE", "COND", "DEFINE")
 LAMBDA_NAME = "LAMBDA"
+
+Out = TypeVar("Out")
 
 
 class EvalError(RuntimeError):
@@ -107,8 +109,8 @@ class EvalSession:
             max_iters=c.max_iters,
             tol=c.tol,
         )
-        # T and F back every truth test, NIL every empty-tail probe; pairs
-        # live in the pair table below, so these three are all it holds.
+        # ATOM's truth snap recalls from these three rows; nothing else
+        # reads this memory, and pairs live in the pair table below.
         self.mem.append(self.tags.nil)
         self.mem.append(self.tags.true)
         self.mem.append(self.tags.false)
@@ -143,16 +145,12 @@ class EvalSession:
         """``codec.is_atomic_vec`` of one vector."""
         return self._sim(v, self.tags.phi) < self.thresholds.theta_down
 
-    def _row(self, v: Vector) -> int | None:
-        """The table row that answers a probe; None when no key reaches a cosine of ``theta_down``."""
-        return self.pairs.row(v, self.thresholds.theta_down)
-
     def _project(self, c: Vector, side: int) -> Vector:
-        """Half ``side`` (0 left, 1 right) of ``c`` from the table, else by unbind plus recall."""
-        row = self._row(c)
-        if row is not None:
-            return self.pairs.halves[row][side]
-        return self.mem.recall(self.tags.unbind((self.tags.left, self.tags.right)[side], c))
+        """Half ``side`` (0 left, 1 right) of the pair that the table answers ``c`` with."""
+        row = self.pairs.row(c, self.thresholds.theta_down)
+        if row is None:
+            raise EvalError("no stored pair answers this probe")
+        return self.pairs.halves[row][side]
 
     def encode(self, e: SExpr) -> Vector:
         if isinstance(e, Atom):
@@ -160,43 +158,44 @@ class EvalSession:
         return self.cons(self.encode(e.left), self.encode(e.right))
 
     def decode(self, v: Vector) -> SExpr:
-        """The tree of ``v``, walked through the pair table in a loop.
+        """The tree of ``v``: its nearest atom at every atomic node."""
+        return self._fold(v, lambda x: Atom(self.registry.nearest(x)[0]), Pair)
 
-        An atomic node decodes to its nearest atom and any other node to the
-        pair of its halves' trees, its halves found as ``car`` and ``cdr``
-        find them.  Each row (each distinct vector, for a node that falls
-        back to recall) is decoded once per walk, and one met again inside
-        its own halves raises ``DecodeError``.
+    def _fold(self, v: Vector, leaf: Callable[[Vector], Out], node: Callable[[Out, Out], Out]) -> Out:
+        """``v`` folded through the pair table in a loop, bottom-up and left before right.
+
+        An atomic node folds to ``leaf`` of itself and any other node to
+        ``node`` of its halves' folds, its halves found as ``car`` and ``cdr``
+        find them.  Each row is folded once per walk; a node no row answers,
+        or a row met again inside its own halves, raises ``DecodeError``.
         """
-        done: dict[object, SExpr] = {}
-        open_nodes: set[object] = set()
-        trees: list[SExpr] = []
-        todo: list[object] = [v]  # vectors to decode, and node keys whose halves are decoded
+        done: dict[int, Out] = {}
+        open_rows: set[int] = set()
+        folds: list[Out] = []
+        todo: list[Vector | int] = [v]  # vectors to fold, and rows whose halves are folded
         while todo:
             item = todo.pop()
-            if not isinstance(item, np.ndarray):
-                right = trees.pop()
-                done[item] = tree = Pair(trees.pop(), right)
-                open_nodes.remove(item)
-                trees.append(tree)
+            if isinstance(item, int):
+                right = folds.pop()
+                done[item] = value = node(folds.pop(), right)
+                open_rows.remove(item)
+                folds.append(value)
                 continue
             if self.pairs.held(item) is None and self.is_atomic(item):
-                trees.append(Atom(self.registry.nearest(item)[0]))
+                folds.append(leaf(item))
                 continue
-            row = self._row(item)
-            node = item.tobytes() if row is None else row
-            if node in done:
-                trees.append(done[node])
-                continue
-            if node in open_nodes:
-                raise DecodeError("decode divergence: a pair reaches itself through its halves")
-            open_nodes.add(node)
+            row = self.pairs.row(item, self.thresholds.theta_down)
             if row is None:
-                halves = (self._project(item, 0), self._project(item, 1))
-            else:
-                halves = self.pairs.halves[row]
-            todo += [node, halves[1], halves[0]]
-        return trees[0]
+                raise DecodeError("decode failed: no stored pair answers this node")
+            if row in done:
+                folds.append(done[row])
+                continue
+            if row in open_rows:
+                raise DecodeError("decode divergence: a pair reaches itself through its halves")
+            open_rows.add(row)
+            left, right = self.pairs.halves[row]
+            todo += [row, right, left]
+        return folds[0]
 
     def _log(self, family: str, which: object) -> None:
         if self.branch_log is not None:
@@ -227,6 +226,8 @@ class EvalSession:
         return self._project(c, 1)
 
     def eq(self, a: Vector, b: Vector) -> Vector:
+        if not (self.is_atomic(a) and self.is_atomic(b)):
+            raise EvalError("EQ on non-atoms is undefined")
         s = self._sim(a, b)
         return s * self.tags.true + (1.0 - s) * self.tags.false
 
@@ -284,27 +285,35 @@ class EvalSession:
     # -- lambda machinery ----------------------------------------------------------
 
     def relabel(self, x: Vector, e: Vector) -> tuple[Vector, Vector]:
-        """Swap every parameter for a fresh reserved atom throughout the body."""
+        """Swap every parameter, in a proper list of distinct atoms, for a fresh reserved atom.
+
+        The fresh list is consed first and the body then folded into its renamed
+        copy, so the table gains rows in the order encoding the renamed trees would add them.
+        """
         if self._is_nil(x):
             return self.tags.nil, e
-        params = self.decode(x)
         names: list[str] = []
-        cur: SExpr = params
-        while isinstance(cur, Pair):
-            if not isinstance(cur.left, Atom):
+        cur = x
+        while not self._is_nil(cur):
+            if self.is_atomic(cur):
+                raise EvalError("relabel: parameter list must be a proper list of atoms")
+            param = self.car(cur)
+            if not self.is_atomic(param):
                 raise EvalError("relabel: parameters must be atoms")
-            names.append(cur.left.name)
-            cur = cur.right
-        if cur != reader.NIL or not names:
-            raise EvalError("relabel: parameter list must be a proper list of atoms")
+            names.append(self.registry.nearest(param)[0])
+            cur = self.cdr(cur)
         if len(set(names)) != len(names):
             raise EvalError("relabel: duplicate parameter name")
         mapping = {nm: self._gensym() for nm in names}
-        body = _rename_atoms(self.decode(e), mapping)
-        fresh: SExpr = reader.NIL
-        for nm in reversed(names):
-            fresh = Pair(Atom(mapping[nm]), fresh)
-        return self.encode(fresh), self.encode(body)
+        fresh = self.tags.nil
+        for g in reversed([self.registry.vector(mapping[nm]) for nm in names]):
+            fresh = self.cons(g, fresh)
+
+        def renamed(v: Vector) -> Vector:
+            name = self.registry.nearest(v)[0]
+            return self.registry.vector(mapping.get(name, name))
+
+        return fresh, self._fold(e, renamed, self.cons)
 
     def _lambda_expr(self, x: Vector, e: Vector) -> Vector:
         lam = self.registry.vector(LAMBDA_NAME)
@@ -326,9 +335,9 @@ class EvalSession:
             self._log("apply", "relabel")
             y, e2 = self.relabel(params(), body())
             base = self._lambda_expr(y, e2)
-            # The marked lambda is a key of its own with base's halves; it is
-            # interned, not built, so a cons of those halves still returns base.
-            row = self.pairs.intern(base + self.tags.rho, *self.pairs.halves[self.pairs.held(base)])
+            # The marked lambda, at unit norm like every key, is a key of its own with
+            # base's halves; it is interned, not built, so a cons of them still returns base.
+            row = self.pairs.intern(hrr.normalize(base + self.tags.rho), *self.pairs.halves[self.pairs.held(base)])
             return self.lambda_apply(self.pairs.keys[row], a)
 
         def params_done() -> Vector:
@@ -496,9 +505,3 @@ def _once(thunk: Callable[[], Vector]) -> Callable[[], Vector]:
 
     return get
 
-
-def _rename_atoms(e: SExpr, mapping: dict[str, str]) -> SExpr:
-    if isinstance(e, Atom):
-        new = mapping.get(e.name)
-        return Atom(new) if new is not None else e
-    return Pair(_rename_atoms(e.left, mapping), _rename_atoms(e.right, mapping))

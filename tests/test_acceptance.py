@@ -107,44 +107,47 @@ def test_encoded_trees_decode_back_exactly(capsys):
     report(capsys, 3, "tree round-trip", ok, f"{exact}/500 exact, {elapsed:.1f}s")
 
 
+def twins_agree(sess, env, expr):
+    """Both sides on one expression: whether the oracle rejected it, and whether the twins agreed."""
+    sess.branch_log = []
+    env.branch_log = []
+    verr = oerr = None
+    vout = oout = None
+    try:
+        vout = sess.run(expr)
+    except Exception as exc:
+        verr = exc
+    env.steps = 0
+    try:
+        oout = oracle.evaluate(expr, env)
+    except Exception as exc:
+        oerr = exc
+    if verr is not None or oerr is not None:
+        return oerr is not None, verr is not None and oerr is not None
+    return False, _same_result(vout, oout) and sess.branch_log == env.branch_log
+
+
+def corpus_agreement(config):
+    """Corpus programs whose every line agrees, values and branch logs, and the first that does not."""
+    agreed = 0
+    first_bad = ""
+    for name, texts in corpus.PROGRAMS:
+        sess = EvalSession(config)
+        env = oracle.OracleEnv()
+        good = all(twins_agree(sess, env, reader.parse(text))[1] for text in texts)
+        if not good:
+            first_bad = first_bad or f" first={name!r}"
+        agreed += good
+    return agreed, first_bad
+
+
 def test_vector_and_symbolic_twins_agree_on_the_whole_corpus(capsys):
     start = time.perf_counter()
     names = [nm for nm, _ in corpus.PROGRAMS]
     assert len(names) >= 30
     assert any("capture" in nm for nm in names) and any("undefined" in nm for nm in names)
 
-    agreed = 0
-    first_bad = ""
-    for name, texts in corpus.PROGRAMS:
-        sess = EvalSession(SessionConfig(dim=4096, seed=42))
-        sess.branch_log = []
-        env = oracle.OracleEnv(branch_log=[])
-        good = True
-        for text in texts:
-            expr = reader.parse(text)
-            sess.branch_log[:] = []
-            env.branch_log[:] = []
-            verr = oerr = None
-            vout = oout = None
-            try:
-                vout = sess.run(expr)
-            except Exception as exc:
-                verr = exc
-            try:
-                oout = oracle.evaluate(expr, env)
-                env.steps = 0
-            except Exception as exc:
-                oerr = exc
-            if (verr is None) != (oerr is None):
-                good = False
-            elif verr is None and (
-                not _same_result(vout, oout) or sess.branch_log != env.branch_log
-            ):
-                good = False
-            if not good:
-                first_bad = first_bad or f" first={name!r}"
-                break
-        agreed += good
+    agreed, first_bad = corpus_agreement(SessionConfig(dim=4096, seed=42))
     elapsed = time.perf_counter() - start
     ok = agreed == len(corpus.PROGRAMS) and elapsed < 120.0
     report(
@@ -316,4 +319,103 @@ def test_same_seed_runs_are_byte_identical(capsys):
         "determinism",
         ok,
         f"repl transcript identical={repl_same}, 2 bench reports identical={bench_same}",
+    )
+
+
+GEN_ATOMS = ("A", "B", "C", "NIL")
+GEN_FORMS = ("atom", "QUOTE", "CONS", "CAR", "CDR", "ATOM", "EQ", "COND", "LAMBDA")
+
+
+def gen_datum(rng, depth):
+    if depth == 0 or rng.random() < 0.4:
+        return rng.choice(GEN_ATOMS)
+    return f"({gen_datum(rng, depth - 1)} . {gen_datum(rng, depth - 1)})"
+
+
+def gen_expr(rng, depth, param=None):
+    """A random expression over the elementary forms and one-parameter lambdas."""
+    leaves = GEN_ATOMS + ((param,) if param else ())
+    form = rng.choice(GEN_FORMS) if depth > 0 else "atom"
+
+    def sub():
+        return gen_expr(rng, depth - 1, param)
+
+    if form == "atom":
+        return rng.choice(leaves)
+    if form == "QUOTE":
+        return f"(QUOTE ({gen_datum(rng, depth - 1)} . {gen_datum(rng, depth - 1)}))"
+    if form in ("CAR", "CDR", "ATOM"):
+        return f"({form} {sub()})"
+    if form in ("CONS", "EQ"):
+        return f"({form} {sub()} {sub()})"
+    if form == "COND":
+        clauses = [f"({sub()} . {sub()})" for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.5:
+            clauses.append(f"(T . {sub()})")
+        return f"(COND {' '.join(clauses)})"
+    # Apply, then run the nullary lambda the application leaves.
+    p = rng.choice(GEN_ATOMS[:3])
+    return f"(((LAMBDA ({p}) {gen_expr(rng, depth - 1, p)}) {sub()}))"
+
+
+def test_generated_programs_agree_with_the_oracle(capsys):
+    rng = random.Random(1729)
+    programs = [gen_expr(rng, 4) for _ in range(300)]
+    evaluated = rejected = agreed = raised = 0
+    first_value = first_error = ""
+    for text in programs:
+        sess = EvalSession(SessionConfig(dim=2048, seed=1729))
+        rejected_here, ok = twins_agree(sess, oracle.OracleEnv(), reader.parse(text))
+        if not rejected_here:
+            evaluated += 1
+            agreed += ok
+            first_value = first_value or ("" if ok else f" first={text!r}")
+        else:
+            rejected += 1
+            raised += ok
+            first_error = first_error or ("" if ok else f" first={text!r}")
+    ok = agreed == evaluated and raised == rejected and evaluated > 0 and rejected > 0
+    report(
+        capsys,
+        10,
+        "generated programs",
+        ok,
+        f"{len(programs)} at depth 4: evaluated agreement {agreed}/{evaluated}{first_value}, "
+        f"error agreement {raised}/{rejected}{first_error}",
+    )
+
+
+def test_projection_by_key_scan_alone_carries_the_corpus(capsys, monkeypatch):
+    # Every projection ranks the probe against all keys: no identity or
+    # exact-bytes answer, and with sigma > 0 the probe first gets sigma * |v|
+    # of Gaussian noise in a random direction.
+    def scan_only(sigma, rng):
+        def row(table, v, floor):
+            if not table.keys:
+                return None
+            if sigma:
+                d = rng.normal(0.0, 1.0, v.shape)
+                v = v + sigma * np.linalg.norm(v) * d / np.linalg.norm(d)
+            i = table.nearest(v)
+            return i if hrr.similarity(v, table.keys[i]) >= floor else None
+
+        return row
+
+    def score(dim, seed, sigma):
+        monkeypatch.setattr(codec.PairTable, "row", scan_only(sigma, np.random.default_rng(seed)))
+        agreed, first_bad = corpus_agreement(SessionConfig(dim=dim, seed=seed))
+        return agreed, f"{agreed}/{len(corpus.PROGRAMS)} at {dim}/{seed} sigma={sigma}{first_bad}"
+
+    gated = [score(*setting) for setting in ((4096, 42, 0.0), (2048, 1729, 0.0), (512, 1729, 0.0), (2048, 1729, 0.6))]
+    # Not gated: keys that differ only deep inside reach a cosine of 0.998,
+    # and sigma = 1.0 noise swaps such twins often enough that 58/58 at dim
+    # 2048 depends on the noise draw.
+    shown = [score(*setting)[1] for setting in ((2048, 1729, 1.0), (512, 1729, 0.6), (512, 1729, 1.0))]
+    ok = all(agreed == len(corpus.PROGRAMS) for agreed, _ in gated)
+    report(
+        capsys,
+        11,
+        "projection by key scan",
+        ok,
+        f"{', '.join(detail for _, detail in gated)}; not gated: {', '.join(shown)}",
     )

@@ -67,7 +67,8 @@ def test_extend_bulk_skips_dedup_by_default():
     assert len(mem) == 10
     mem2 = CleanupMemory(32)
     mem2.extend(rows)
-    mem2.extend(rows, dedup=True)
+    for r in rows:
+        mem2.append(r)
     assert len(mem2) == 5
 
 
@@ -150,9 +151,13 @@ def test_exact_row_index_stores_what_the_scan_stores(threshold):
             t = None
         elif op == len(traces) + 2:
             rows = np.stack([stored_row(), unit_rows(rng, 1, n)[0], seen[-1]])
-            dedup = bool(rng.integers(2))
-            mem.extend(rows, dedup=dedup)
-            ref.extend(rows, dedup=dedup)
+            if rng.integers(2):
+                for r in rows:
+                    mem.append(r)
+                    ref.append(r)
+            else:
+                mem.extend(rows)
+                ref.extend(rows)
             t = None
         else:
             mem = CleanupMemory.from_bytes(mem.to_bytes())

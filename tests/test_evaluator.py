@@ -124,14 +124,16 @@ def test_evaluation_stores_no_halves_in_the_flat_memory_and_never_calls_codec_de
     from veclisp import corpus
 
     def forbidden(*args, **kw):
-        raise AssertionError("a session called codec.decode")
+        raise AssertionError("evaluation decoded a vector")
 
+    # Evaluation builds no tree: only the final answer is decoded.
     monkeypatch.setattr(codec, "decode", forbidden)
+    monkeypatch.setattr(EvalSession, "decode", forbidden)
     for name, sources in corpus.PROGRAMS:
         sess = EvalSession(SessionConfig())
         for src in sources:
             try:
-                sess.run_text(src)
+                sess.eval_expr(sess.encode(parse(src)))
             except EvalError:
                 pass  # the corpus's error programs; the vector side's errors are its own
         assert len(sess.mem) == 3, name  # NIL, T and F
@@ -168,23 +170,28 @@ def test_a_row_that_reaches_itself_raises_decode_error():
         sess.decode(r)
 
 
-def test_projection_without_a_near_key_falls_back_to_memory_recall():
+def test_a_probe_no_stored_pair_answers_raises():
     # A pair vector with no key at or above theta_down, here in an empty
-    # table, gets its halves back through unbind plus cleanup recall.
+    # table, has no halves to give.
     sess = fresh()
     a = sess.encode(Atom("A"))
     b = sess.encode(Atom("B"))
-    sess.mem.append(a)
-    sess.mem.append(b)
     c = codec.cons_vec(a, b, sess.tags)
-    assert np.array_equal(sess.car(c), a)
-    assert np.array_equal(sess.cdr(c), b)
+    for project in (sess.car, sess.cdr):
+        with pytest.raises(EvalError, match="no stored pair answers this probe"):
+            project(c)
+    with pytest.raises(codec.DecodeError):
+        sess.decode(c)
     # With a key present: a probe without the PHI marker stays below it.
     sess.cons(sess.encode(Atom("X")), sess.encode(Atom("Y")))
     probe = hrr.normalize(sess.tags.bind(sess.tags.left, a) + sess.tags.bind(sess.tags.right, b))
     assert hrr.similarity(probe, sess.pairs.traces[0]) < sess.thresholds.theta_down
-    assert np.array_equal(sess.car(probe), a)
-    assert np.array_equal(sess.cdr(probe), b)
+    for project in (sess.car, sess.cdr):
+        with pytest.raises(EvalError, match="no stored pair answers this probe"):
+            project(probe)
+    # Projecting an atom is the oracle's "CAR of an atom is undefined".
+    with pytest.raises(EvalError):
+        run(sess, "(CAR (QUOTE A))")
 
 
 def test_eq_blend_is_truthy_only_for_the_same_atom():
@@ -193,6 +200,15 @@ def test_eq_blend_is_truthy_only_for_the_same_atom():
     b = sess.encode(Atom("B"))
     assert sess.truthy(sess.eq(a, a))
     assert not sess.truthy(sess.eq(a, b))
+
+
+@pytest.mark.parametrize("args", ["(QUOTE (A)) (QUOTE A)", "(QUOTE A) (QUOTE (A))", "(QUOTE (A)) (QUOTE (A))"])
+def test_eq_on_non_atoms_raises_as_in_the_oracle(args):
+    text = f"(EQ {args})"
+    with pytest.raises(oracle.OracleError, match="EQ on non-atoms is undefined"):
+        oracle.evaluate(parse(text), OracleEnv())
+    with pytest.raises(EvalError, match="EQ on non-atoms is undefined"):
+        run(fresh(), text)
 
 
 def test_atom_probe_checks_both_operand_and_call_tail():
@@ -351,11 +367,56 @@ def test_empty_body_yields_nil_before_any_substitution():
 def test_relabel_validates_parameter_lists():
     sess = fresh()
     body = sess.encode(Atom("P"))
-    for params in ["(P . Q)", "((A) B)", "(P P)"]:
-        with pytest.raises(EvalError):
+    # A non-atom parameter, an improper list (twice) and a duplicate name,
+    # each rejected with the oracle's message.
+    for params in ["((A) B)", "(P . Q)", "P", "(P P)"]:
+        with pytest.raises(oracle.OracleError) as want:
+            oracle.relabel(parse(params), Atom("P"), OracleEnv())
+        with pytest.raises(EvalError) as got:
             sess.relabel(sess.encode(parse(params)), body)
+        assert str(got.value) == str(want.value)
     y, e2 = sess.relabel(sess.tags.nil, body)
     assert np.array_equal(y, sess.tags.nil) and np.array_equal(e2, body)
+
+
+def test_relabel_keys_are_the_encoding_of_the_renamed_tree():
+    params, body = parse("(P Q)"), parse("((Q P) (P Q) P . R)")
+    g1, g2 = (Atom(f"{codec.GENSYM_PREFIX}{i}") for i in (1, 2))
+
+    def rename(tree):
+        if isinstance(tree, Pair):
+            return Pair(rename(tree.left), rename(tree.right))
+        return {"P": g1, "Q": g2}.get(tree.name, tree)
+
+    renamed = rename(body)
+    sess, twin = fresh(), fresh()
+    x, e = sess.encode(params), sess.encode(body)
+    twin.encode(params), twin.encode(body)
+    y, e2 = sess.relabel(x, e)
+    # The fresh list is consed before the body, each bottom-up and left
+    # first, so the table's rows are those of encoding the renamed trees.
+    want_y, want_e2 = twin.encode(Pair(g1, Pair(g2, reader.NIL))), twin.encode(renamed)
+    assert [k.tobytes() for k in sess.pairs.keys] == [k.tobytes() for k in twin.pairs.keys]
+    assert y.tobytes() == want_y.tobytes() and e2.tobytes() == want_e2.tobytes()
+
+    def built(tree):
+        if isinstance(tree, Atom):
+            return sess.registry.vector(tree.name)
+        return codec.cons_vec(built(tree.left), built(tree.right), sess.tags)
+
+    assert y.tobytes() == built(Pair(g1, Pair(g2, reader.NIL))).tobytes()
+    assert e2.tobytes() == built(renamed).tobytes()
+
+
+def test_every_table_key_has_unit_norm_after_a_relabel():
+    # The relabel marker is interned normalized like every built key, so the
+    # table's dot-product nearest key is the cosine nearest key.
+    sess = fresh()
+    assert run(sess, "((((LAMBDA (P Q) (CONS Q P)) (QUOTE A)) (QUOTE B)))") == "(B . A)"
+    marked = [k for k in sess.pairs.keys if hrr.similarity(k, sess.tags.rho) >= sess.thresholds.theta_down]
+    assert len(marked) >= 2
+    norms = np.linalg.norm(sess.pairs.traces, axis=1)
+    assert np.max(np.abs(norms - 1.0)) < 1e-12
 
 
 def test_relabel_renames_every_occurrence_with_prefixed_atoms():
