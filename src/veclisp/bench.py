@@ -36,7 +36,6 @@ def _header(kind: str, config: SessionConfig, extra: dict[str, object]) -> list[
         "theta_down": config.theta_down,
         "memory_kind": config.memory_kind,
         "beta": config.beta,
-        "gamma": config.gamma,
         "alpha": config.alpha,
         "eta": config.eta,
         "rho": config.rho,
@@ -66,6 +65,7 @@ def run_capacity(
     for d in counts:
         rng = np.random.default_rng((config.seed, d))
         rows = _unit_rows(rng, d, config.dim)
+        row_norms = np.linalg.norm(rows, axis=1)
         targets = rng.choice(d, size=min(probes, d), replace=False)
         for kind in kinds:
             mem = CleanupMemory(
@@ -73,7 +73,6 @@ def run_capacity(
                 kind,
                 beta=config.beta,
                 rho=config.rho,
-                gamma=config.gamma,
                 alpha=config.alpha,
                 eta=config.eta,
                 max_iters=config.max_iters,
@@ -90,7 +89,7 @@ def run_capacity(
                 if kind == "grossberg":
                     # The logistic squash rides on a 0.5 offset; compare around it.
                     out = out - 0.5
-                sims = rows @ out / (np.linalg.norm(rows, axis=1) * np.linalg.norm(out))
+                sims = rows @ out / (row_norms * np.linalg.norm(out))
                 if int(np.argmax(sims)) == int(idx):
                     correct += 1
             total = len(targets)
@@ -162,14 +161,15 @@ def run_update_rules(
     lines.append("rule\tgamma\ttarget_delta\tothers_delta\trecall_sim_target")
 
     def one(rule: str, gamma: float | None) -> str:
+        # Only RE reads gamma; the RC and RG rows leave it at its default.
         mem = CleanupMemory(
             config.dim,
             "lookup",
             beta=config.beta,
             rho=config.rho,
-            gamma=config.gamma if gamma is None else gamma,
             alpha=config.alpha,
             eta=config.eta,
+            **({} if gamma is None else {"gamma": gamma}),
         )
         mem.extend(base.copy())
         mem.apply_update(probe, grad, rule)  # type: ignore[arg-type]

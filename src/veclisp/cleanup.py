@@ -41,14 +41,6 @@ _EPS = float(np.finfo(np.float64).eps)
 _SCREEN_MIN, _SCREEN_MAX = 2.0**-50, 2.0**50
 _U32 = 2.0**-24
 
-# Ranking rows through the screen (the argmax of a recall, the top k of a
-# shortlist) costs a few fixed conversions and bound checks.  Timed at dim 2048
-# with one BLAS thread, float64 against screened: 26 rows, recall 17 against
-# 33 us and top-3 18 against 27 us; 128 rows, 82 against 52 us and 98 against
-# 68 us; the two broke even at 64-80 rows.  The dedup screen already won at 26
-# rows (29 us in float64 against 20 screened), so dedup has no floor.
-_RANK_SCREEN_MIN_ROWS = 64
-
 # The float32 screen keeps each row's first _HEAD_COLS coordinates in one block
 # and the rest in another.  Dedup bounds every row's cosine from the head block
 # and the float64 norm of the row's tail (Cauchy-Schwarz), and screens in full
@@ -121,11 +113,6 @@ def _proven_top(acts: Vector, err: Vector, k: int) -> tuple[np.ndarray, np.ndarr
     return top, ordered & (lower[:, -1] > upper.max(axis=1))
 
 
-def _hardmax(z: Vector) -> int:
-    # np.argmax already resolves ties toward the lowest index.
-    return int(np.argmax(z))
-
-
 class CleanupMemory:
     """Ordered store of n-dimensional traces with kind-dispatched recall.
 
@@ -154,21 +141,19 @@ class CleanupMemory:
     survivor means the trace is stored; the survivors alone are gathered and
     screened in full.  Of their screened cosine maximum s: s >= threshold +
     margin is a duplicate, s < threshold - margin is stored, and only the band
-    between runs the float64 scan, over the survivors.  A trace outside the
+    between runs the float64 scan, over every row.  A trace outside the
     float32 screen's range skips the bound and runs the float64 scan over
     every row.
 
-    ``recall_lookup`` returns the float32 argmax row when its activation minus
-    its error bound exceeds every other row's activation plus that row's
-    bound; otherwise the float64 activations decide, with their lowest-index
-    tie-breaking.  ``shortlist`` returns the float32 top k when every row's
-    lower bound is above the next one's upper bound and the k-th's is above
-    every other row's; otherwise the float64 activations are sorted.  A block
-    of probes is screened in one float32 matrix product, and each probe keeps
-    its own proof and its own float64 fallback.  The screen applies only to a float64 probe whose norm, like every stored row's,
-    lies in [2**-50, 2**50], and recall and shortlists use it only from 64
-    rows; otherwise the float64 scan runs.  Either way the stored rows,
-    recalled rows and shortlists are those of the float64 scan.
+    ``shortlist`` returns the float32 top k when every row's lower bound is
+    above the next one's upper bound and the k-th's is above every other
+    row's; otherwise the float64 activations are sorted.  A block of probes is
+    screened in one float32 matrix product, and each probe keeps its own proof
+    and its own float64 fallback.  The screen applies only to a float64 probe
+    whose norm, like every stored row's, lies in [2**-50, 2**50]; otherwise
+    the float64 scan runs.  Either way the stored rows and shortlists are
+    those of the float64 scan.  Recall ranks by the float64 activations, with
+    their lowest-index tie-breaking.
     """
 
     def __init__(
@@ -249,14 +234,6 @@ class CleanupMemory:
             key = _row_key(self._buf[i])
         self._index.setdefault(key, []).append(i)
 
-    def _index_move(self, i: int, old: int) -> None:
-        """Re-key row ``i`` after an overwrite; ``old`` is its key from before."""
-        bucket = self._index[old]
-        bucket.remove(i)
-        if not bucket:
-            del self._index[old]
-        self._index_add(i)
-
     def _reindex(self) -> None:
         self._index = {}
         for i in range(self._m):
@@ -302,7 +279,7 @@ class CleanupMemory:
         """Whether some stored row's cosine with ``t`` reaches the threshold."""
         m, k = self._m, self._k
         if not self._screens(t, tn):
-            return self._scan_duplicate(t, tn, slice(0, m))
+            return self._scan_duplicate(t, tn)
         t32 = t.astype(np.float32)
         head = self._head32[:m] @ t32[:k]
         denom = self._norms[:m] * tn
@@ -319,15 +296,17 @@ class CleanupMemory:
             return True
         if best < self.dedup_threshold - self._margin:
             return False
-        return self._scan_duplicate(t, tn, live)
+        # Over every row: a product over the survivors alone can round a cosine
+        # on the threshold to the other side.
+        return self._scan_duplicate(t, tn)
 
-    def _scan_duplicate(self, t: Vector, tn: float, rows: slice | np.ndarray) -> bool:
-        """The float64 dedup scan: cosine of ``t`` with the stored rows ``rows``."""
+    def _scan_duplicate(self, t: Vector, tn: float) -> bool:
+        """The float64 dedup scan: cosine of ``t`` with every stored row."""
         if not tn > 0.0:
             return False
-        denom = self._norms[rows] * tn
+        denom = self._norms[: self._m] * tn
         with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.where(denom > 0.0, (self._buf[rows] @ t) / denom, 0.0)
+            sims = np.where(denom > 0.0, (self.traces @ t) / denom, 0.0)
         return bool((sims >= self.dedup_threshold).any())
 
     def append(self, t: Vector, *, dedup: bool = True) -> "CleanupMemory":
@@ -361,16 +340,6 @@ class CleanupMemory:
         self._m += k
         return self
 
-    def set_row(self, i: int, t: Vector) -> None:
-        """Overwrite a stored row in place (used for redefinition semantics)."""
-        if not 0 <= i < self._m:
-            raise IndexError("row index out of range")
-        old = _row_key(self._buf[i])
-        self._buf[i] = t
-        self._mirror(i, i + 1)
-        self._norms[i] = np.linalg.norm(self._buf[i])
-        self._index_move(i, old)
-
     def activations(self, p: Vector) -> Vector:
         self._require_nonempty()
         return self.traces @ p
@@ -386,15 +355,18 @@ class CleanupMemory:
         """
         self._require_nonempty()
         probes = np.atleast_2d(p)
-        ranked = self._ranked(probes) if 0 < k < self._m else None
-        if ranked is None:
-            # As many indices per probe as the float64 slice [:k] keeps.
-            top = np.empty((len(probes), len(range(self._m)[:k])), dtype=np.intp)
-            proven = np.zeros(len(probes), dtype=bool)
-        else:
-            acts, err, screens = ranked
-            top, proven = _proven_top(acts, err, k)
-            proven &= screens
+        # As many indices per probe as the float64 slice [:k] keeps.
+        top = np.empty((len(probes), len(range(self._m)[:k])), dtype=np.intp)
+        proven = np.zeros(len(probes), dtype=bool)
+        if 0 < k < self._m:
+            pn = np.sqrt(_dots(probes, probes))  # bitwise np.linalg.norm of each probe
+            screens = self._screens(probes, pn)
+            if screens.any():
+                # Zero the probes the screen cannot bound; their screened rows are never read.
+                screened = probes if screens.all() else np.where(screens[:, None], probes, 0.0)
+                err = self._margin * pn[:, None] * self._norms[: self._m]
+                top, proven = _proven_top(self._screened(screened), err, k)
+                proven &= screens
         for i in np.flatnonzero(~proven):
             top[i] = np.argsort(self.activations(probes[i]))[::-1][:k]
         return top if p.ndim == 2 else top[0]
@@ -423,36 +395,7 @@ class CleanupMemory:
 
     def nearest(self, p: Vector) -> int:
         """Index of the row with the highest activation; ties go to the lowest index."""
-        self._require_nonempty()
-        i = self._screened_argmax(p)
-        return _hardmax(self.activations(p)) if i is None else i
-
-    def _ranked(self, probes: Vector) -> tuple[Vector, Vector, np.ndarray] | None:
-        """Screened activations of a block of probes against every row and their error bounds.
-
-        Returns them with one flag per probe that says whether the screen may
-        rank that probe's rows, or None if it may rank none.
-        """
-        if self._m < _RANK_SCREEN_MIN_ROWS:
-            return None
-        pn = np.sqrt(_dots(probes, probes))  # bitwise np.linalg.norm of each probe
-        screens = self._screens(probes, pn)
-        if not screens.any():
-            return None
-        if not screens.all():  # zero the others, whose screened rows are never read
-            probes = np.where(screens[:, None], probes, 0.0)
-        return self._screened(probes), self._margin * pn[:, None] * self._norms[: self._m], screens
-
-    def _screened_argmax(self, p: Vector) -> int | None:
-        """The row of highest activation if the float32 screen proves it, else None."""
-        ranked = self._ranked(p[None])
-        if ranked is None:
-            return None
-        acts, err = ranked[0][0], ranked[1][0]
-        i = int(np.argmax(acts))
-        rivals = acts + err
-        rivals[i] = -np.inf
-        return i if rivals.max() < acts[i] - err[i] else None
+        return int(np.argmax(self.activations(p)))
 
     def recall_mhn(self, p: Vector, beta: float | None = None) -> Vector:
         """Softmax-weighted row blend; beta=0 is the unweighted row mean."""
@@ -519,13 +462,8 @@ class CleanupMemory:
         if rule == "RC":
             self._buf[: self._m] -= self.eta * grad
         elif rule == "RG":
-            i = _hardmax(self.activations(p))
-            old = _row_key(self._buf[i])
+            i = self.nearest(p)
             self._buf[i] -= self.eta * grad[i]
-            self._mirror(i, i + 1)
-            self._norms[i] = np.linalg.norm(self._buf[i])
-            self._index_move(i, old)
-            return self
         elif rule == "RE":
             w = self.alpha * _softmax(self.gamma * self.activations(p))
             self._buf[: self._m] -= self.eta * w[:, None] * grad

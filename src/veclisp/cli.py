@@ -101,7 +101,6 @@ def _build_parser() -> _Parser:
         "--memory", choices=KINDS, default=_env("MEMORY", "lookup", str), help="cleanup memory kind"
     )
     g.add_argument("--beta", type=float, default=_env("BETA", 1000.0, float))
-    g.add_argument("--gamma", type=float, default=_env("GAMMA", 1000.0, float))
     g.add_argument("--alpha", type=float, default=_env("ALPHA", 1.0, float))
     g.add_argument("--eta", type=float, default=_env("ETA", 0.1, float))
     g.add_argument("--rho", type=_parse_rho, default=_env("RHO", 3, _parse_rho))
@@ -148,7 +147,6 @@ def _run_config(args: argparse.Namespace) -> RunConfig:
         theta_down=args.theta_down,
         memory_kind=args.memory,
         beta=args.beta,
-        gamma=args.gamma,
         alpha=args.alpha,
         eta=args.eta,
         rho=args.rho,
@@ -333,6 +331,10 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 1
     except KeyboardInterrupt:
+        return 1
+    except RecursionError:
+        # Every recursion here follows the nesting of the input, so this is the input's doing.
+        print("error: input nested deeper than the interpreter's recursion limit", file=sys.stderr)
         return 1
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -8,9 +8,9 @@ which holds each unit-norm pair key with its halves and answers a probe by
 identity, exact bytes or highest cosine, or raises; CONS interns into it, CAR
 and CDR read from it, and decode and relabel are one fold over it, so
 evaluation builds no tree.  A flat cleanup memory holds NIL, T and F for
-ATOM's truth snap, and function definitions live in a lookup store keyed by
-bound names.  Similarities between two read-only vectors, which the session
-holds and never changes, are computed once per session.
+ATOM's truth snap, and a function definition is the table row of its
+``cons(name, body)`` key.  Similarities between two read-only vectors, which
+the session holds and never changes, are computed once per session.
 
 A session owns the registry, the memories, the reserved tags and the step
 budget; REPL lines share one session so definitions and stored pairs persist.
@@ -33,7 +33,6 @@ __all__ = [
     "BUILTIN_ORDER",
     "SessionConfig",
     "EvalSession",
-    "FnNamespace",
     "EvalError",
     "BudgetExceeded",
 ]
@@ -60,33 +59,12 @@ class SessionConfig:
     theta_down: float = 0.2
     memory_kind: str = "lookup"
     beta: float = 1000.0
-    gamma: float = 1000.0
     alpha: float = 1.0
     eta: float = 0.1
     rho: int | float = 3
     max_iters: int = 100
     tol: float = 1e-6
     step_limit: int = 100_000
-
-
-class FnNamespace:
-    """Definition store: rows are cons(name, body) vectors, names stay unique."""
-
-    def __init__(self, dim: int) -> None:
-        self.store = CleanupMemory(dim, "lookup")
-        self._names: list[Vector] = []
-
-    def __len__(self) -> int:
-        return len(self._names)
-
-    def define(self, name: Vector, entry: Vector) -> None:
-        for i, known in enumerate(self._names):
-            if hrr.similarity(name, known) >= 0.99:
-                self.store.set_row(i, entry)
-                self._names[i] = name
-                return
-        self.store.append(entry, dedup=False)
-        self._names.append(name)
 
 
 class EvalSession:
@@ -102,7 +80,6 @@ class EvalSession:
             c.dim,
             c.memory_kind,
             beta=c.beta,
-            gamma=c.gamma,
             alpha=c.alpha,
             eta=c.eta,
             rho=c.rho,
@@ -114,7 +91,8 @@ class EvalSession:
         self.mem.append(self.tags.nil)
         self.mem.append(self.tags.true)
         self.mem.append(self.tags.false)
-        self.fns = FnNamespace(c.dim)
+        # Table rows of the live definitions' cons(name, body) keys, one per name.
+        self.fns: list[int] = []
         self.steps = 0
         self.branch_log: list[tuple[str, object]] | None = None
         self.trace_sink: Callable[[str], None] | None = None
@@ -246,8 +224,13 @@ class EvalSession:
     def define(self, name: Vector, body: Vector) -> Vector:
         if not self.is_atomic(name):
             raise EvalError("define requires an atomic name")
-        entry = self.cons(name, body)
-        self.fns.define(name, entry)
+        row = self.pairs.held(self.cons(name, body))
+        for i, known in enumerate(self.fns):
+            if hrr.similarity(name, self.pairs.halves[known][0]) >= 0.99:
+                self.fns[i] = row
+                break
+        else:
+            self.fns.append(row)
         return self.tags.done
 
     def truthy(self, v: Vector) -> bool:
@@ -406,10 +389,12 @@ class EvalSession:
         keeps evaluating only in the matched case.
         """
         t = self.thresholds
-        if len(self.fns) == 0:
+        if not self.fns:
             self._log("fcall", "miss")
             return self.cons(f, a), False
-        entry = self.fns.store.recall(self.tags.bind(self.tags.left, f))
+        # The definition whose key is most like the bound name, ties to the first.
+        acts = np.stack([self.pairs.keys[r] for r in self.fns]) @ self.tags.bind(self.tags.left, f)
+        entry = self.pairs.keys[self.fns[int(np.argmax(acts))]]
         gate = self._sim(f, self.car(entry))
 
         def hit() -> Vector:

@@ -16,7 +16,6 @@ from .reader import NIL, T, F, Atom, Pair, SExpr
 __all__ = ["OracleEnv", "OracleError", "evaluate", "apply_lambda", "substitute", "relabel", "run_program"]
 
 GENSYM_PREFIX = "#o"
-BUILTINS = {"CONS", "CAR", "CDR", "EQ", "ATOM", "QUOTE", "COND", "DEFINE"}
 
 
 class OracleError(RuntimeError):

@@ -122,7 +122,7 @@ def test_exact_row_index_stores_what_the_scan_stores(threshold):
         lambda: np.where(rng.random(n) < 0.5, seen[-1], 0.0),
     ]
     for step in range(600):
-        op = rng.integers(len(traces) + 4)
+        op = rng.integers(len(traces) + 3)
         if step == 550:
             # An infinite row scores NaN in every later scan; that must not
             # stop deduplication for good.
@@ -139,17 +139,12 @@ def test_exact_row_index_stores_what_the_scan_stores(threshold):
         elif op < len(traces):
             t = traces[op]()
         elif op == len(traces):
-            i, t = rng.integers(len(mem)), [unit_rows(rng, 1, n)[0], stored_row()][rng.integers(2)]
-            mem.set_row(i, t)
-            ref.set_row(i, t)
-            t = None
-        elif op == len(traces) + 1:
             grad = rng.normal(0.0, 0.01, (len(mem), n))
             rule = ["RG", "RC"][rng.integers(2)]
             mem.apply_update(seen[-1], grad, rule)
             ref.apply_update(seen[-1], grad, rule)
             t = None
-        elif op == len(traces) + 2:
+        elif op == len(traces) + 1:
             rows = np.stack([stored_row(), unit_rows(rng, 1, n)[0], seen[-1]])
             if rng.integers(2):
                 for r in rows:
@@ -184,13 +179,21 @@ class ScreenCounting(CleanupMemory):
         self.dedup_checks += 1
         return super()._is_duplicate(t, tn)
 
-    def _scan_duplicate(self, t, tn, rows):
+    def _scan_duplicate(self, t, tn):
         self.dedup_scans += 1
-        return super()._scan_duplicate(t, tn, rows)
+        return super()._scan_duplicate(t, tn)
 
     def activations(self, p):
         self.full_activations += 1
         return super().activations(p)
+
+    def rebuilt(self, rows):
+        """A new store of ``rows`` that counts on from this store's counts."""
+        new = ScreenCounting(self.dim, dedup_threshold=self.dedup_threshold)
+        new.extend(rows)
+        new.dedup_checks, new.dedup_scans = self.dedup_checks, self.dedup_scans
+        new.full_activations = self.full_activations
+        return new
 
 
 def out_of_range(row, kind):
@@ -237,12 +240,15 @@ def test_float32_screen_stores_what_the_scan_stores(threshold):
     for _ in range(500):
         op = rng.choice(6, p=[0.15, 0.15, 0.4, 0.1, 0.1, 0.1])
         if op == 5:
-            # Bring every out-of-range row back into range, turning the screen on.
-            norms = np.linalg.norm(mem.traces, axis=1)
-            for i in np.flatnonzero(~((norms > 1e-3) & (norms < 1e3))):
-                t = unit_rows(rng, 1, n)[0]
-                mem.set_row(i, t)
-                ref.set_row(i, t)
+            # Rebuild both stores with every out-of-range row brought back into
+            # range, turning the screen on.
+            rows = mem.traces.copy()
+            norms = np.linalg.norm(rows, axis=1)
+            out = ~((norms > 1e-3) & (norms < 1e3))
+            rows[out] = unit_rows(rng, int(out.sum()), n)
+            mem = mem.rebuilt(rows)
+            ref = ScanOnlyMemory(n, dedup_threshold=threshold)
+            ref.extend(rows)
         else:
             dedup = True
             if op == 0:
@@ -316,8 +322,8 @@ def test_prefix_bound_stores_what_the_scan_stores(threshold, n):
 def test_screened_recall_returns_the_float64_argmax_row():
     rng = np.random.default_rng(24)
     n = 512
-    mem = ScreenCounting(n)
-    rows = unit_rows(rng, 80, n)  # past the row floor of ranking through the screen
+    mem = CleanupMemory(n)
+    rows = unit_rows(rng, 80, n)
     mem.extend(rows)
     mem.append(rows[7], dedup=False)  # an exact duplicate of row 7
     mem.append(rows[11] + rng.normal(0.0, 1e-9, n), dedup=False)  # a near twin of row 11
@@ -355,13 +361,11 @@ def test_screened_recall_returns_the_float64_argmax_row():
 
     clear = [rows[i] + rng.normal(0.0, 0.02, n) for i in range(80) if i not in (7, 11)]
     check(clear)
-    assert mem.full_activations == 0  # the screen decided every clear winner
     ties = [rows[7] + rng.normal(0.0, 0.02, n), rows[11] + rng.normal(0.0, 0.02, n), tie_probe]
     check(ties)
-    assert mem.full_activations > 0
     assert np.array_equal(mem.recall_lookup(tie_probe), flipped)  # the lower index wins
     check([out_of_range(rows[3], k) for k in range(7)])
-    # One out-of-range row turns the screen off; recall is unchanged.
+    # An out-of-range row among the stored ones.
     mem.append(1e20 * rows[5], dedup=False)
     check(clear[:5] + ties)
 
@@ -393,10 +397,11 @@ def test_screened_shortlist_is_the_float64_argsort():
     margin = mem._margin
     probes_ranked = 0
 
-    def check(probes, k=3, store=mem):
+    def check(probes, k=3, store=None):
         # Every probe alone, then all of them as one block: each row of the
         # block's shortlist is that probe's float64 argsort.
         nonlocal probes_ranked
+        store = mem if store is None else store
         probes = np.atleast_2d(probes)
         want = [np.argsort(store.traces @ p)[::-1][:k].tolist() for p in probes]
         assert [store.shortlist(p, k).tolist() for p in probes] == want
@@ -417,20 +422,24 @@ def test_screened_shortlist_is_the_float64_argsort():
             out.append(c * p + np.sqrt(1.0 - c * c) * q / np.linalg.norm(q))
         return out
 
+    def planting(at, rows):
+        # The store rebuilt with ``rows`` in place of the rows at indices ``at``.
+        traces = mem.traces.copy()
+        traces[at] = rows
+        return mem.rebuilt(traces)
+
     for _ in range(300):
         p = unit_rows(rng, 1, n)[0]
         gaps = tuple(rng.choice([-2.0, -0.5, -1e-5, 1e-5, 0.5, 2.0, 50.0], size=3))
         rows = planted(p, gaps)
-        for i, r in zip(rng.choice(len(mem), size=len(rows), replace=False), rows):
-            mem.set_row(i, r)
+        mem = planting(rng.choice(len(mem), size=len(rows), replace=False), rows)
         noisy = p + rng.normal(0.0, 0.02, n)
         for k in (1, 3, 4):
             check([p, noisy, out_of_range(p, 6)], k)
     # Exact ties: a duplicate of the top row, and distinct rows that tie.
     p = unit_rows(rng, 1, n)[0]
     top = planted(p, (100.0,))
-    mem.set_row(0, top[0])
-    mem.set_row(1, top[1])
+    mem = planting([0, 1], top)
     mem.append(top[0], dedup=False)
     check(p)
     signs = np.where(rng.random(n) < 0.5, -1.0, 1.0) / 16.0
@@ -451,10 +460,10 @@ def test_screened_shortlist_is_the_float64_argsort():
     # One out-of-range row turns the screen off; a row of NaNs makes NaN
     # activations, which the float64 sort places as it always has.
     for bad in (1e20 * p, np.full(n, np.inf), np.full(n, np.nan)):
-        mem.set_row(5, bad)
+        mem = planting([5], [bad])
         check([p, p + rng.normal(0.0, 0.02, n)])
-    # Stores below the screen's row floor, and stores of at most k rows.
-    for m in (1, 2, 3, 4, 20, cleanup._RANK_SCREEN_MIN_ROWS - 1):
+    # Small stores, and stores of at most k rows.
+    for m in (1, 2, 3, 4, 20, 63):
         small = CleanupMemory(n)
         small.extend(unit_rows(rng, m, n))
         q = rng.normal(0.0, 1.0, (3, n))
@@ -466,25 +475,6 @@ def test_screened_shortlist_is_the_float64_argsort():
         CleanupMemory(n).shortlist(np.stack([p, p]), 3)
     # Both the screen's own answers and the float64 fall-through ran.
     assert 0 < mem.full_activations < probes_ranked
-
-
-def test_ranking_screens_only_from_the_row_floor():
-    rng = np.random.default_rng(28)
-    n = 512
-    floor = cleanup._RANK_SCREEN_MIN_ROWS
-    mem = ScreenCounting(n)
-    rows = unit_rows(rng, floor + 1, n)
-    mem.extend(rows[: floor - 1])
-    p = rows[5] + rng.normal(0.0, 0.02, n)
-    assert np.array_equal(mem.recall_lookup(p), rows[5])
-    assert mem.shortlist(p, 3)[0] == 5
-    assert mem.full_activations == 2  # both ranked in float64
-    mem.append(rows[floor - 1])
-    assert mem.dedup_checks == 1 and mem.dedup_scans == 0  # dedup screens below the floor
-    assert len(mem) == floor
-    assert np.array_equal(mem.recall_lookup(p), rows[5])
-    assert mem.shortlist(p, 3)[0] == 5
-    assert mem.full_activations == 2  # both ranked by the screen
 
 
 def mirrored(memory):
@@ -503,14 +493,15 @@ def mirrored(memory):
 def test_mirror_follows_updates_and_snapshots():
     rng = np.random.default_rng(25)
     n = 512
-    m = 70  # past the row floor of ranking through the screen
+    m = 70
     mem = filled(rng, m=m, n=n, eta=1.0)
     mirrored(mem)
 
     def agrees(target, memory):
+        # The top row of a shortlist, which ranks through the float32 mirror.
         p = target + rng.normal(0.0, 0.02, n)
         want = memory.traces[np.argmax(memory.traces @ p)]
-        assert memory.recall_lookup(p).tobytes() == want.tobytes()
+        assert memory.traces[memory.shortlist(p, 1)[0]].tobytes() == want.tobytes()
         mirrored(memory)
 
     # RC moves every row onto another row's old place; a stale mirror would
@@ -527,9 +518,6 @@ def test_mirror_follows_updates_and_snapshots():
     mem.apply_update(mem.traces[4], grad, "RG")
     agrees(new, mem)
     assert np.allclose(mem.recall_lookup(new), new)
-    fresh = unit_rows(rng, 1, n)[0]
-    mem.set_row(9, fresh)
-    agrees(fresh, mem)
     back = CleanupMemory.from_bytes(mem.to_bytes())
     for i in range(m):
         agrees(mem.traces[i], back)
@@ -547,19 +535,8 @@ def test_mirror_follows_updates_and_snapshots():
     agrees(mem.traces[5], mem)
     small = CleanupMemory(100)  # the head block is the whole row
     small.extend(unit_rows(rng, 20, 100))
-    small.set_row(3, unit_rows(rng, 1, 100)[0])
     small.append(unit_rows(rng, 1, 100)[0])
     mirrored(small)
-
-
-def test_set_row_overwrites_in_place():
-    rng = np.random.default_rng(3)
-    mem = filled(rng, m=4, n=32)
-    new = unit_rows(rng, 1, 32)[0]
-    mem.set_row(2, new)
-    assert np.array_equal(mem.traces[2], new)
-    with pytest.raises(IndexError):
-        mem.set_row(4, new)
 
 
 def test_recall_from_empty_store_raises():

@@ -247,3 +247,38 @@ def test_module_entry_point_runs_a_script(tmp_path):
     )
     assert proc.returncode == 0
     assert proc.stdout == "(A)\n"
+
+
+# -- input nested past the recursion limit ---------------------------------------------
+
+
+def nested_quote(depth):
+    return "(QUOTE " + "(" * depth + "A" + ")" * depth + ")\n"
+
+
+def call_within(frames, argv, capsys, monkeypatch, stdin):
+    """``call`` with Python's recursion limit ``frames`` above the current stack."""
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + frames)
+    try:
+        return call(argv, capsys, monkeypatch, stdin)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+@pytest.mark.parametrize("mode", [["run", "-"], ["repl"]])
+def test_input_nested_past_the_parsers_reach_is_a_user_error(mode, capsys, monkeypatch):
+    # The reader takes two frames per parenthesis.
+    code, out, err = call_within(300, mode + ["--dim", "256"], capsys, monkeypatch, nested_quote(200))
+    assert code == 1
+    assert err.startswith("error:") and "internal" not in err
+
+
+@pytest.mark.parametrize("mode", [["run", "-"], ["repl"]])
+def test_oracle_check_of_an_answer_nested_past_the_comparisons_reach_is_a_user_error(mode, capsys, monkeypatch):
+    # It parses and both twins answer; comparing the answers nests deeper than parsing.
+    code, out, err = call_within(400, mode + ["--dim", "256"], capsys, monkeypatch, nested_quote(150))
+    assert code == 0
+    code, out, err = call_within(400, mode + ["--dim", "256", "--oracle-check"], capsys, monkeypatch, nested_quote(150))
+    assert code == 1
+    assert err.startswith("error:") and "internal" not in err

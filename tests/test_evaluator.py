@@ -8,7 +8,7 @@ import weakref
 import numpy as np
 import pytest
 
-from veclisp import codec, hrr, oracle, reader
+from veclisp import cleanup, codec, hrr, oracle, reader
 from veclisp.evaluator import BudgetExceeded, EvalError, EvalSession, SessionConfig
 from veclisp.oracle import OracleEnv
 from veclisp.reader import Atom, Pair, parse, to_text
@@ -250,6 +250,29 @@ def test_redefinition_replaces_the_row_in_place():
     run(sess, "(DEFINE PICK (LAMBDA (P) (CDR P)))")
     assert len(sess.fns) == 1
     assert run(sess, "((PICK (QUOTE (A B))))") == "(B)"
+
+
+def test_a_definition_is_a_table_row_of_the_sessions_one_table(monkeypatch):
+    memories = []
+    init = cleanup.CleanupMemory.__init__
+    monkeypatch.setattr(cleanup.CleanupMemory, "__init__", lambda self, *a, **kw: memories.append(1) or init(self, *a, **kw))
+    sess = fresh()
+    run(sess, "(DEFINE SWAP (LAMBDA (P) (CONS (CDR P) (CAR P))))")
+    (row,) = sess.fns
+    name, body = sess.pairs.halves[row]
+    assert to_text(sess.decode(name)) == "SWAP" and to_text(sess.decode(body)).startswith("(LAMBDA")
+    assert len(memories) == 1  # the NIL/T/F rows of ATOM's truth snap; definitions need none
+
+
+def test_a_call_of_a_defined_function_finds_no_key_by_bytes(monkeypatch):
+    # The call takes the held key of its definition, so every projection is an identity hit.
+    sess = fresh()
+    run(sess, "(DEFINE SWAP (LAMBDA (P) (CONS (CDR P) (CAR P))))")
+    finds = []
+    find = sess.pairs.find
+    monkeypatch.setattr(sess.pairs, "find", lambda t: finds.append(1) or find(t))
+    assert run(sess, "((SWAP (QUOTE (A . B))))") == "(B . A)"
+    assert finds == []
 
 
 # -- cond -------------------------------------------------------------------------
