@@ -169,19 +169,30 @@ def _new_session(config: RunConfig) -> EvalSession:
     return session
 
 
-def _canon(e: SExpr, prefix: str, table: dict[str, str]) -> SExpr:
-    """Rename machine-chosen fresh atoms to positional placeholders."""
-    if isinstance(e, Atom):
-        if e.name.startswith(prefix):
-            if e.name not in table:
-                table[e.name] = f"#{len(table)}"
-            return Atom(table[e.name])
-        return e
-    return Pair(_canon(e.left, prefix, table), _canon(e.right, prefix, table))
-
-
 def _same_result(vec: SExpr, orc: SExpr) -> bool:
-    return _canon(vec, codec.GENSYM_PREFIX, {}) == _canon(orc, oracle.GENSYM_PREFIX, {})
+    """Whether two answers are equal once each side's machine-chosen fresh atoms are renamed.
+
+    Each side numbers its fresh atoms in order of first appearance, left-first
+    preorder, and the trees are compared under those numbers.  The walk is a
+    loop, so an answer's depth is not bounded by the recursion limit.
+    """
+    prefixes = (codec.GENSYM_PREFIX, oracle.GENSYM_PREFIX)
+    tables: tuple[dict[str, str], dict[str, str]] = ({}, {})
+    todo = [(vec, orc)]
+    while todo:
+        a, b = todo.pop()
+        if isinstance(a, Pair) and isinstance(b, Pair):
+            todo += [(a.right, b.right), (a.left, b.left)]
+            continue
+        if not (isinstance(a, Atom) and isinstance(b, Atom)):
+            return False
+        names = [
+            table.setdefault(e.name, f"#{len(table)}") if e.name.startswith(prefix) else e.name
+            for e, prefix, table in zip((a, b), prefixes, tables)
+        ]
+        if names[0] != names[1]:
+            return False
+    return True
 
 
 def _eval_checked(

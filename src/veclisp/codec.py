@@ -4,10 +4,11 @@ A pair is the normalized superposition of its halves bound to the role tags L
 and R, plus the structure marker PHI; encoding a tree stores both halves of
 each pair in a cleanup memory so they can be recovered later by
 unbind-and-recall.  An evaluation session keeps its pairs in a ``PairTable``
-instead, which holds each pair's key with its two halves.  Atoms are registry
-draws.  Reserved tag names start with '#', which the reader cannot produce, so
-they never collide with user atoms; NIL, T and F are deliberately the ordinary
-atoms of those names.
+instead, which holds each pair's key with its two halves, and holds its
+vectors in ``hrr.to_coords`` coordinates, where its ``CoordTagSet`` binds by
+an elementwise product.  Atoms are registry draws.  Reserved tag names start
+with '#', which the reader cannot produce, so they never collide with user
+atoms; NIL, T and F are deliberately the ordinary atoms of those names.
 """
 from __future__ import annotations
 
@@ -25,6 +26,7 @@ from .reader import Atom, Pair, SExpr
 
 __all__ = [
     "TagSet",
+    "CoordTagSet",
     "PairTable",
     "DecodeError",
     "DONE_NAME",
@@ -43,6 +45,18 @@ DONE_NAME = "#DONE"
 GENSYM_PREFIX = "#G"
 
 DECODE_DEPTH_LIMIT = 64
+
+# Tag set field -> the registry name of its reserved vector.
+_RESERVED = {
+    "left": L_NAME,
+    "right": R_NAME,
+    "phi": PHI_NAME,
+    "rho": RHO_NAME,
+    "nil": "NIL",
+    "true": "T",
+    "false": "F",
+    "done": DONE_NAME,
+}
 
 
 class DecodeError(RuntimeError):
@@ -95,17 +109,8 @@ class TagSet:
         """The registry's tag set, built once per registry."""
         tags = _TAG_SETS.get(registry)
         if tags is None:
-            tags = _TAG_SETS[registry] = cls(
-                left=registry.vector(L_NAME),
-                right=registry.vector(R_NAME),
-                phi=registry.vector(PHI_NAME),
-                rho=registry.vector(RHO_NAME),
-                nil=registry.vector("NIL"),
-                true=registry.vector("T"),
-                false=registry.vector("F"),
-                done=registry.vector(DONE_NAME),
-                registry=weakref.ref(registry),
-            )
+            reserved = {attr: registry.vector(name) for attr, name in _RESERVED.items()}
+            tags = _TAG_SETS[registry] = cls(**reserved, registry=weakref.ref(registry))
         return tags
 
     @cached_property
@@ -154,13 +159,45 @@ class TagSet:
 _TAG_SETS: "weakref.WeakKeyDictionary[AtomRegistry, TagSet]" = weakref.WeakKeyDictionary()
 
 
-def cons_vec(a: Vector, b: Vector, tags: TagSet) -> Vector:
-    """Pair constructor: normalize(L*a + R*b + PHI)."""
+@dataclass(frozen=True)
+class CoordTagSet:
+    """``TagSet``'s reserved vectors and binds in ``hrr.to_coords`` coordinates.
+
+    A bind is ``hrr.bind_coords``, an elementwise product, so it needs no
+    FFT and no cache: ``cons_vec`` with this tag set builds the coordinates
+    of the pair that ``cons_vec`` with ``TagSet`` builds from the same atoms.
+    """
+
+    left: Vector
+    right: Vector
+    phi: Vector
+    rho: Vector
+    nil: Vector
+    true: Vector
+    false: Vector
+    done: Vector
+
+    @classmethod
+    def from_coords(cls, coords: Callable[[str], Vector]) -> "CoordTagSet":
+        """The tag set whose vectors are ``coords`` of the reserved names."""
+        return cls(**{attr: coords(name) for attr, name in _RESERVED.items()})
+
+    def bind(self, role: Vector, v: Vector) -> Vector:
+        """The coordinates of the bind of ``role``, ``left`` or ``right``, and ``v``."""
+        return hrr.bind_coords(role, v)
+
+    def bind_halves(self, a: Vector, b: Vector) -> tuple[Vector, Vector]:
+        """``(bind(left, a), bind(right, b))``."""
+        return hrr.bind_coords(self.left, a), hrr.bind_coords(self.right, b)
+
+
+def cons_vec(a: Vector, b: Vector, tags: TagSet | CoordTagSet) -> Vector:
+    """Pair constructor: normalize(L*a + R*b + PHI), in the tag set's coordinates."""
     left, right = tags.bind_halves(a, b)
     return hrr.normalize(left + right + tags.phi)
 
 
-def is_atomic_vec(v: Vector, tags: TagSet, t: Thresholds) -> bool | np.ndarray:
+def is_atomic_vec(v: Vector, tags: TagSet | CoordTagSet, t: Thresholds) -> bool | np.ndarray:
     """A vector is atomic when it carries no visible PHI component.
 
     For a stack of vectors the answer is one bool per vector.
@@ -194,7 +231,7 @@ class PairTable:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def cons(self, a: Vector, b: Vector, tags: TagSet) -> Vector:
+    def cons(self, a: Vector, b: Vector, tags: TagSet | CoordTagSet) -> Vector:
         """The key of the pair of ``a`` and ``b``, built only for halves not seen together before.
 
         Halves that are the very objects some row was built from return that

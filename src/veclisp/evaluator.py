@@ -12,6 +12,12 @@ ATOM's truth snap, and a function definition is the table row of its
 ``cons(name, body)`` key.  Similarities between two read-only vectors, which
 the session holds and never changes, are computed once per session.
 
+A session holds every vector in ``hrr.to_coords`` coordinates, an orthogonal
+map, so every norm, dot product and cosine is the time-domain one, and a
+bind is the elementwise ``hrr.bind_coords``: building a pair takes no FFT.
+Atoms enter through ``coords`` and leave through ``atom_name``, the only
+readers of the registry.
+
 A session owns the registry, the memories, the reserved tags and the step
 budget; REPL lines share one session so definitions and stored pairs persist.
 """
@@ -25,7 +31,7 @@ import numpy as np
 
 from . import codec, hrr, reader
 from .cleanup import CleanupMemory
-from .codec import DecodeError, TagSet
+from .codec import CoordTagSet, DecodeError
 from .hrr import AtomRegistry, Thresholds, Vector
 from .reader import Atom, Pair, SExpr
 
@@ -75,7 +81,10 @@ class EvalSession:
         c = self.config
         self.thresholds = Thresholds(c.theta_up, c.theta_down)
         self.registry = AtomRegistry(c.dim, c.seed)
-        self.tags = TagSet.from_registry(self.registry)
+        # name -> its atom's coordinates, and the id of those back to the name
+        self._coords: dict[str, Vector] = {}
+        self._names: dict[int, str] = {}
+        self.tags = CoordTagSet.from_coords(self.coords)
         self.mem = CleanupMemory(
             c.dim,
             c.memory_kind,
@@ -97,7 +106,7 @@ class EvalSession:
         self.branch_log: list[tuple[str, object]] | None = None
         self.trace_sink: Callable[[str], None] | None = None
         self._gensym_counter = 0
-        self._builtin_vectors = [self.registry.vector(n) for n in BUILTIN_ORDER]
+        self._builtin_vectors = [self.coords(n) for n in BUILTIN_ORDER]
         self.pairs = codec.PairTable(c.dim)
         # (id(u), id(v)) -> (similarity(u, v), u, v) for read-only u and v;
         # holding both operands keeps their ids from passing to new objects.
@@ -108,6 +117,20 @@ class EvalSession:
     @property
     def dim(self) -> int:
         return self.config.dim
+
+    def coords(self, name: str) -> Vector:
+        """The ``hrr.to_coords`` coordinates of the atom ``name``, converted once per session and read-only."""
+        got = self._coords.get(name)
+        if got is None:
+            got = self._coords[name] = hrr.to_coords(self.registry.vector(name))
+            got.flags.writeable = False
+            self._names[id(got)] = name
+        return got
+
+    def atom_name(self, v: Vector) -> str:
+        """The name of the atom nearest ``v``: by id for a vector ``coords`` returned, else by a registry scan."""
+        name = self._names.get(id(v))
+        return name if name is not None else self.registry.nearest(hrr.from_coords(v))[0]
 
     def _sim(self, u: Vector, v: Vector) -> float:
         """``hrr.similarity(u, v)``, computed once per session when both operands are read-only."""
@@ -132,12 +155,12 @@ class EvalSession:
 
     def encode(self, e: SExpr) -> Vector:
         if isinstance(e, Atom):
-            return self.registry.vector(e.name)
+            return self.coords(e.name)
         return self.cons(self.encode(e.left), self.encode(e.right))
 
     def decode(self, v: Vector) -> SExpr:
         """The tree of ``v``: its nearest atom at every atomic node."""
-        return self._fold(v, lambda x: Atom(self.registry.nearest(x)[0]), Pair)
+        return self._fold(v, lambda x: Atom(self.atom_name(x)), Pair)
 
     def _fold(self, v: Vector, leaf: Callable[[Vector], Out], node: Callable[[Out, Out], Out]) -> Out:
         """``v`` folded through the pair table in a loop, bottom-up and left before right.
@@ -283,23 +306,23 @@ class EvalSession:
             param = self.car(cur)
             if not self.is_atomic(param):
                 raise EvalError("relabel: parameters must be atoms")
-            names.append(self.registry.nearest(param)[0])
+            names.append(self.atom_name(param))
             cur = self.cdr(cur)
         if len(set(names)) != len(names):
             raise EvalError("relabel: duplicate parameter name")
         mapping = {nm: self._gensym() for nm in names}
         fresh = self.tags.nil
-        for g in reversed([self.registry.vector(mapping[nm]) for nm in names]):
+        for g in reversed([self.coords(mapping[nm]) for nm in names]):
             fresh = self.cons(g, fresh)
 
         def renamed(v: Vector) -> Vector:
-            name = self.registry.nearest(v)[0]
-            return self.registry.vector(mapping.get(name, name))
+            name = self.atom_name(v)
+            return self.coords(mapping.get(name, name))
 
         return fresh, self._fold(e, renamed, self.cons)
 
     def _lambda_expr(self, x: Vector, e: Vector) -> Vector:
-        lam = self.registry.vector(LAMBDA_NAME)
+        lam = self.coords(LAMBDA_NAME)
         return self.cons(lam, self.cons(x, self.cons(e, self.tags.nil)))
 
     def lambda_apply(self, lam: Vector, a: Vector) -> Vector:

@@ -4,7 +4,10 @@ Expressions in this package are real vectors of a fixed dimension n.  Atoms are
 drawn i.i.d. normal with variance 1/n so their expected norm is 1.  Structure is
 built with circular convolution (binding) and elementwise addition
 (superposition), and taken apart with an approximate inverse based on index
-reversal.  All operations are deterministic given a registry seed.
+reversal.  ``to_coords`` maps a vector to orthonormal real Fourier
+coordinates, where binding is the elementwise ``bind_coords``; evaluation
+sessions hold their vectors there.  All operations are deterministic given a
+registry seed.
 """
 from __future__ import annotations
 
@@ -28,6 +31,9 @@ __all__ = [
     "DegenerateVector",
     "bind",
     "bind_spectra",
+    "to_coords",
+    "from_coords",
+    "bind_coords",
     "involution",
     "unbind",
     "similarity",
@@ -206,6 +212,60 @@ def bind_spectra(fu: np.ndarray, fv: np.ndarray, n: int) -> Vector:
     spec.real = fu.real * fv.real - fu.imag * fv.imag
     spec.imag = fu.real * fv.imag + fu.imag * fv.real
     return np.fft.irfft(spec, n=n)
+
+
+def _reals(n: int) -> int:
+    """How many real entries lead the coordinates of length ``n``: DC, and Nyquist when ``n`` is even."""
+    return 2 - n % 2
+
+
+def _middle(x: Vector) -> np.ndarray:
+    """The middle bins of coordinates ``x``, as a complex view of its memory or of a contiguous copy."""
+    return np.ascontiguousarray(x)[..., _reals(x.shape[-1]) :].view(complex)
+
+
+def to_coords(u: Vector) -> Vector:
+    """``u`` in the orthonormal real Fourier basis, for one vector or a stack of shape (..., n).
+
+    From ``U = rfft(u)`` the layout is ``[U_0, U_{n/2}, Re U_1, Im U_1, ...]``,
+    with ``U_0`` and ``U_{n/2}`` scaled by ``1/sqrt(n)`` and the middle bins by
+    ``sqrt(2/n)``; an odd ``n`` has no ``U_{n/2}`` entry.  The map is
+    orthogonal, so norms, dot products and cosines are those of ``u``, and it
+    turns ``bind`` into the elementwise ``bind_coords``.
+    """
+    n = u.shape[-1]
+    s = _reals(n)
+    f = np.fft.rfft(u)
+    x = np.empty(u.shape)
+    x[..., :s] = f[..., [0, n // 2][:s]].real / math.sqrt(n)
+    _middle(x)[...] = f[..., 1 : (n + 1) // 2] * math.sqrt(2 / n)
+    return x
+
+
+def from_coords(x: Vector) -> Vector:
+    """The inverse of ``to_coords``."""
+    n = x.shape[-1]
+    f = np.empty(x.shape[:-1] + (n // 2 + 1,), dtype=complex)
+    s = _reals(n)
+    f[..., [0, n // 2][:s]] = x[..., :s] * math.sqrt(n)
+    f[..., 1 : (n + 1) // 2] = _middle(x) * math.sqrt(n / 2)
+    return np.fft.irfft(f, n=n)
+
+
+def bind_coords(x: Vector, y: Vector) -> Vector:
+    """``to_coords(bind(u, v))`` from ``x = to_coords(u)`` and ``y = to_coords(v)``, with no FFT.
+
+    Either operand may be a stack of shape (..., n); the two broadcast.
+    """
+    n = x.shape[-1]
+    if y.shape[-1:] != (n,):
+        raise DimensionMismatch(f"cannot bind shape {y.shape} to shape {x.shape}")
+    s = _reals(n)
+    middle = _middle(x) * _middle(y)
+    out = np.empty(middle.shape[:-1] + (n,))
+    np.multiply(x[..., :s] * y[..., :s], math.sqrt(n), out=out[..., :s])
+    np.multiply(middle, math.sqrt(n / 2), out=_middle(out))
+    return out
 
 
 def involution(u: Vector) -> Vector:

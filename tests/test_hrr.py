@@ -70,6 +70,46 @@ def test_stacked_bind_rows_are_bitwise_single_binds(n):
         hrr.bind(stack, stack)
 
 
+# -- orthonormal Fourier coordinates --------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 65, 2048])
+def test_coordinates_are_an_orthogonal_map_that_turns_bind_elementwise(n):
+    rng = np.random.default_rng(300 + n)
+    u, v = rng.normal(0.0, 1.0 / np.sqrt(n), (2, 5, n))
+    x, y = hrr.to_coords(u), hrr.to_coords(v)
+    assert x.shape == y.shape == (5, n)
+    for i in range(5):
+        assert np.array_equal(hrr.to_coords(u[i]), x[i])  # a stack maps row by row
+        assert np.abs(hrr.from_coords(x[i]) - u[i]).max() < 1e-12
+        assert abs(x[i] @ y[i] - u[i] @ v[i]) < 1e-12
+        assert abs(np.linalg.norm(x[i]) - np.linalg.norm(u[i])) < 1e-12
+        assert abs(hrr.similarity(x[i], y[i]) - hrr.similarity(u[i], v[i])) < 1e-12
+        assert np.abs(hrr.bind_coords(x[i], y[i]) - hrr.to_coords(hrr.bind(u[i], v[i]))).max() < 1e-12
+    assert np.abs(hrr.from_coords(x) - u).max() < 1e-12
+    # One operand broadcasts against a stack, and a strided operand reads as its copy.
+    assert np.abs(hrr.bind_coords(x[0], y) - hrr.to_coords(hrr.bind(u[0], v))).max() < 1e-12
+    spread = np.zeros((5, 2 * n))
+    spread[:, ::2] = x
+    assert np.array_equal(hrr.bind_coords(spread[:, ::2], y), hrr.bind_coords(x, y))
+    assert np.array_equal(hrr.from_coords(spread[:, ::2]), hrr.from_coords(x))
+    with pytest.raises(DimensionMismatch):
+        hrr.bind_coords(x, np.zeros(n + 1))
+
+
+def test_coordinate_layout_is_dc_nyquist_then_interleaved_bins():
+    u = np.arange(1.0, 9.0)
+    f = np.fft.rfft(u)
+    want = [f[0].real / np.sqrt(8), f[4].real / np.sqrt(8)]
+    for k in (1, 2, 3):
+        want += [f[k].real * np.sqrt(2 / 8), f[k].imag * np.sqrt(2 / 8)]
+    assert np.abs(hrr.to_coords(u) - want).max() < 1e-12
+    # An odd length has no Nyquist entry.
+    f = np.fft.rfft(u[:5])
+    want = [f[0].real / np.sqrt(5)] + [c * np.sqrt(2 / 5) for k in (1, 2) for c in (f[k].real, f[k].imag)]
+    assert np.abs(hrr.to_coords(u[:5]) - want).max() < 1e-12
+
+
 def test_involution_reverses_indices_modularly():
     out = hrr.involution(np.array([1.0, 2.0, 3.0, 4.0]))
     assert np.array_equal(out, [1.0, 4.0, 3.0, 2.0])
