@@ -12,6 +12,7 @@ atoms; NIL, T and F are deliberately the ordinary atoms of those names.
 """
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -45,6 +46,7 @@ DONE_NAME = "#DONE"
 GENSYM_PREFIX = "#G"
 
 DECODE_DEPTH_LIMIT = 64
+KEY_PREFIX = 32  # entries of a pair key its bytes index hashes: 256 bytes, not 16 KB at dim 2048
 
 # Tag set field -> the registry name of its reserved vector.
 _RESERVED = {
@@ -125,8 +127,8 @@ class TagSet:
             return hit[1]
         return self._keep(role, v, hrr.bind(role, v, spectrum=self._roles[id(role)][0]))
 
-    def bind_halves(self, a: Vector, b: Vector) -> tuple[Vector, Vector]:
-        """``(bind(left, a), bind(right, b))``, bitwise, from at most one stacked FFT round trip."""
+    def pair_sum(self, a: Vector, b: Vector) -> Vector:
+        """``bind(left, a) + bind(right, b) + phi``, bitwise, from at most one stacked FFT round trip."""
         jobs = ((self.left, a), (self.right, b))
         out = [self._atom_binds.get((id(role), id(v)), (None, None))[1] for role, v in jobs]
         todo = [i for i in (0, 1) if out[i] is None]
@@ -138,7 +140,7 @@ class TagSet:
             bound = hrr.bind_spectra(self._pair_spectra[todo], np.fft.rfft(np.stack(operands)), len(self.left))
             for i, row in zip(todo, bound):
                 out[i] = self._keep(*jobs[i], row)
-        return out[0], out[1]
+        return out[0] + out[1] + self.phi
 
     def _keep(self, role: Vector, v: Vector, bound: Vector) -> Vector:
         """``bound``, the bind of ``role`` and ``v``, kept first if ``v`` is a registry atom."""
@@ -186,15 +188,33 @@ class CoordTagSet:
         """The coordinates of the bind of ``role``, ``left`` or ``right``, and ``v``."""
         return hrr.bind_coords(role, v)
 
-    def bind_halves(self, a: Vector, b: Vector) -> tuple[Vector, Vector]:
-        """``(bind(left, a), bind(right, b))``."""
-        return hrr.bind_coords(self.left, a), hrr.bind_coords(self.right, b)
+    @cached_property
+    def _views(self) -> tuple[int, np.ndarray, np.ndarray]:
+        """How many real entries lead a vector, and the middle bins of L and R as complex views."""
+        return hrr._reals(len(self.left)), hrr._middle(self.left), hrr._middle(self.right)
+
+    def pair_sum(self, a: Vector, b: Vector) -> Vector:
+        """``bind(left, a) + bind(right, b) + phi``, bitwise, in one buffer by ``hrr.bind_coords``' steps."""
+        n = len(self.left)
+        if a.shape != (n,) or b.shape != (n,):
+            raise DimensionMismatch(f"cannot bind shapes {a.shape} and {b.shape} to shape {self.left.shape}")
+        s, left, right = self._views
+        out = np.empty(n)
+        middle = hrr._middle(out)
+        np.multiply(left, hrr._middle(a), out=middle)
+        middle *= math.sqrt(n / 2)
+        scratch = right * hrr._middle(b)
+        scratch *= math.sqrt(n / 2)
+        middle += scratch
+        for i in range(s):  # DC, then Nyquist
+            out[i] = self.left[i] * a[i] * math.sqrt(n) + self.right[i] * b[i] * math.sqrt(n)
+        out += self.phi
+        return out
 
 
 def cons_vec(a: Vector, b: Vector, tags: TagSet | CoordTagSet) -> Vector:
     """Pair constructor: normalize(L*a + R*b + PHI), in the tag set's coordinates."""
-    left, right = tags.bind_halves(a, b)
-    return hrr.normalize(left + right + tags.phi)
+    return hrr.normalize(tags.pair_sum(a, b))
 
 
 def is_atomic_vec(v: Vector, tags: TagSet | CoordTagSet, t: Thresholds) -> bool | np.ndarray:
@@ -213,8 +233,8 @@ class PairTable:
     stored, so an id found in the table's id maps names the same bytes for
     as long as the table lives: one from the id of a key to its row, one from
     the ids of a left and a right half to the row first built from exactly
-    those objects.  A third map, from the hash of a key's bytes to its rows,
-    finds bitwise copies without a scan.  The keys are stacked into a
+    those objects.  A third map, from the hash of a key's first ``KEY_PREFIX``
+    entries to its rows, finds bitwise copies without a scan.  The keys are stacked into a
     float64 matrix only when a probe is first ranked against them.
     """
 
@@ -249,7 +269,7 @@ class PairTable:
 
     def intern(self, key: Vector, left: Vector, right: Vector) -> int:
         """The row of the key bitwise equal to ``key``, storing it with these halves if new."""
-        digest = hash(key.tobytes())
+        digest = hash(key[:KEY_PREFIX].tobytes())
         row = self._find(key, digest)
         if row is None:
             row = len(self.keys)
@@ -283,7 +303,7 @@ class PairTable:
 
     def find(self, t: Vector) -> int | None:
         """The lowest row whose key is bitwise equal to ``t``, or None."""
-        return self._find(t, hash(t.tobytes()))
+        return self._find(t, hash(t[:KEY_PREFIX].tobytes()))
 
     def _find(self, t: Vector, digest: int) -> int | None:
         for i in self._by_bytes.get(digest, ()):

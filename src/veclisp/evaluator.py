@@ -8,13 +8,14 @@ which holds each unit-norm pair key with its halves and answers a probe by
 identity, exact bytes or highest cosine, or raises; CONS interns into it, CAR
 and CDR read from it, and decode and relabel are one fold over it, so
 evaluation builds no tree.  A flat cleanup memory holds NIL, T and F for
-ATOM's truth snap, and a function definition is the table row of its
+ATOM's truth snap, which under ``lookup`` returns the held tag and recalls
+only on a near tie; a function definition is the table row of its
 ``cons(name, body)`` key.  Similarities between two read-only vectors, which
 the session holds and never changes, are computed once per session.
 
 A session holds every vector in ``hrr.to_coords`` coordinates, an orthogonal
 map, so every norm, dot product and cosine is the time-domain one, and a
-bind is the elementwise ``hrr.bind_coords``: building a pair takes no FFT.
+bind is the elementwise ``hrr.bind_coords``: building a pair takes no FFT and one buffer.
 Atoms enter through ``coords`` and leave through ``atom_name``, the only
 readers of the registry.
 
@@ -100,6 +101,12 @@ class EvalSession:
         self.mem.append(self.tags.nil)
         self.mem.append(self.tags.true)
         self.mem.append(self.tags.false)
+        # Lookup recall of s_f * F + s_t * T takes the row of highest s_f * (row @ F) + s_t * (row @ T).
+        # That sum and the recall's activation each err by at most (dim + 2) eps |row| (|s_f| |F| +
+        # |s_t| |T|), so a lead of over four times that bound is the recall's pick too.
+        self._truth_rows = (self.tags.nil, self.tags.true, self.tags.false)
+        self._truth_dots = [(r @ self.tags.false, r @ self.tags.true) for r in self._truth_rows]
+        self._truth_tol = 4 * (c.dim + 2) * hrr._EPS * max(r @ r for r in self._truth_rows)
         # Table rows of the live definitions' cons(name, body) keys, one per name.
         self.fns: list[int] = []
         self.steps = 0
@@ -230,16 +237,29 @@ class EvalSession:
         if not (self.is_atomic(a) and self.is_atomic(b)):
             raise EvalError("EQ on non-atoms is undefined")
         s = self._sim(a, b)
+        if s == 1.0:
+            return self.tags.true  # bitwise 1.0 * T + 0.0 * F
         return s * self.tags.true + (1.0 - s) * self.tags.false
 
     def atom(self, a: Vector, n: Vector) -> Vector:
         """Atom test; ``n`` is the call tail and anything non-NIL poisons it to F."""
         t = self.thresholds
         s_a = self._sim(a, self.tags.phi)
-        blend = s_a * self.tags.false + max(0.0, 2.0 * t.theta_down - s_a) * self.tags.true
-        cleaned = self.mem.recall(blend)
+        cleaned = self._truth_snap(s_a, max(0.0, 2.0 * t.theta_down - s_a))
         s_n = self._sim(n, self.tags.nil)
-        return s_n * cleaned + max(0.0, 2.0 * t.theta_down - s_n) * self.tags.false
+        w_f = max(0.0, 2.0 * t.theta_down - s_n)
+        if s_n == 1.0 and w_f == 0.0:
+            return cleaned  # bitwise 1.0 * cleaned + 0.0 * F
+        return s_n * cleaned + w_f * self.tags.false
+
+    def _truth_snap(self, s_f: float, s_t: float) -> Vector:
+        """``mem.recall(s_f * F + s_t * T)``; under ``lookup``, the held NIL, T or F it would copy."""
+        if self.mem.kind == "lookup":
+            acts = [s_f * df + s_t * dt for df, dt in self._truth_dots]
+            top, runner_up = sorted(acts, reverse=True)[:2]
+            if top - runner_up > self._truth_tol * (abs(s_f) + abs(s_t)):
+                return self._truth_rows[acts.index(top)]
+        return self.mem.recall(s_f * self.tags.false + s_t * self.tags.true)
 
     def quote(self, e: Vector) -> Vector:
         return e
@@ -249,7 +269,7 @@ class EvalSession:
             raise EvalError("define requires an atomic name")
         row = self.pairs.held(self.cons(name, body))
         for i, known in enumerate(self.fns):
-            if hrr.similarity(name, self.pairs.halves[known][0]) >= 0.99:
+            if self._sim(name, self.pairs.halves[known][0]) >= 0.99:
                 self.fns[i] = row
                 break
         else:

@@ -343,8 +343,8 @@ def _similarities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def normalize(v: Vector) -> Vector:
-    """Scale ``v`` to unit norm."""
-    n = np.linalg.norm(v)
+    """Scale the vector ``v`` to unit norm."""
+    n = math.sqrt(v @ v)  # bitwise np.linalg.norm of a 1-D float64 vector
     if n == 0.0:
         raise DegenerateVector("degenerate normalization of a zero vector")
     return v / n
@@ -378,7 +378,7 @@ def cascade(
         # payload object itself, which the evaluator's pair table finds by id.
         if g != 1.0:
             value = g * value
-        n = float(np.linalg.norm(value))
+        n = math.sqrt(value @ value)
         if n > t.theta_up:
             rest = value
             break

@@ -88,6 +88,13 @@ def test_pair_table_finds_the_lowest_row_of_a_bitwise_copy():
     nudged = keys[2].copy()
     nudged[0] = np.nextafter(nudged[0], np.inf)
     assert table.find(nudged) is None and mem.find(nudged) is None
+    # The bytes index hashes a key's first KEY_PREFIX entries; keys that share
+    # them are still told apart in full.
+    twin = keys[2].copy()
+    twin[codec.KEY_PREFIX :] = keys[4][codec.KEY_PREFIX :]
+    assert table.find(twin) is None and table.intern(twin, twin, twin) == 5
+    assert table.find(keys[2].copy()) == 2 and table.find(twin.copy()) == 5
+    assert table.find(keys[4].copy()) == 4
 
 
 @pytest.mark.parametrize("m", [10, 100])  # below and above the memory's 64-row screen floor

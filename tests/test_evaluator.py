@@ -277,6 +277,47 @@ def test_atom_probe_checks_both_operand_and_call_tail():
     assert not sess.truthy(sess.atom(a, sess.tags.true))
 
 
+def blended(sess, a, n):
+    """ATOM of ``a`` and ``n`` as blend, recall and tail mix, with no shortcut."""
+    tags, down = sess.tags, sess.thresholds.theta_down
+    s_a, s_n = hrr.similarity(a, tags.phi), hrr.similarity(n, tags.nil)
+    cleaned = sess.mem.recall(s_a * tags.false + max(0.0, 2.0 * down - s_a) * tags.true)
+    return s_n * cleaned + max(0.0, 2.0 * down - s_n) * tags.false
+
+
+def counting_recalls(monkeypatch, sess):
+    calls = []
+    recall = sess.mem.recall
+    monkeypatch.setattr(sess.mem, "recall", lambda p: calls.append(1) or recall(p))
+    return calls
+
+
+def test_atom_and_eq_return_the_held_truth_tags_bitwise_as_blend_and_recall(monkeypatch):
+    sess = fresh()
+    tags = sess.tags
+    a, b, p = sess.encode(Atom("A")), sess.encode(Atom("B")), sess.encode(parse("(A . B)"))
+    calls = counting_recalls(monkeypatch, sess)
+    assert sess.atom(a, tags.nil) is tags.true and sess.atom(p, tags.nil) is tags.false
+    assert sess.eq(a, a) is tags.true
+    assert sess.eq(a, a).tobytes() == (1.0 * tags.true + 0.0 * tags.false).tobytes()
+    for x, n in ((a, tags.nil), (p, tags.nil), (a, b), (p, tags.true), (tags.nil, tags.nil)):
+        assert sess.atom(x, n).tobytes() == blended(sess, x, n).tobytes()
+    assert len(calls) == 5  # blended's own
+    # A planted tie: with theta_down 0 a zero operand blends to the zero
+    # vector, which every row scores alike, so the snap takes the recall.
+    sess = fresh(theta_down=0.0)
+    calls = counting_recalls(monkeypatch, sess)
+    zero = np.zeros(DIM)
+    got = sess.atom(zero, sess.tags.nil)
+    assert len(calls) == 1 and got.tobytes() == blended(sess, zero, sess.tags.nil).tobytes()
+    # Other memory kinds recall on every ATOM.
+    sess = fresh(memory_kind="mhn")
+    calls = counting_recalls(monkeypatch, sess)
+    a = sess.encode(Atom("A"))
+    got = sess.atom(a, sess.tags.nil)
+    assert len(calls) == 1 and got.tobytes() == blended(sess, a, sess.tags.nil).tobytes()
+
+
 def test_atomicity_probe():
     sess = fresh()
     assert sess.is_atomic(sess.encode(Atom("ZEBRA")))

@@ -3,7 +3,7 @@ identities, registry determinism, and the lazy cascade's forcing contract."""
 import numpy as np
 import pytest
 
-from veclisp import hrr
+from veclisp import codec, hrr
 from veclisp.hrr import (
     AtomRegistry,
     DegenerateVector,
@@ -73,7 +73,7 @@ def test_stacked_bind_rows_are_bitwise_single_binds(n):
 # -- orthonormal Fourier coordinates --------------------------------------------------
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 8, 65, 2048])
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 65, 257, 2048])
 def test_coordinates_are_an_orthogonal_map_that_turns_bind_elementwise(n):
     rng = np.random.default_rng(300 + n)
     u, v = rng.normal(0.0, 1.0 / np.sqrt(n), (2, 5, n))
@@ -95,6 +95,14 @@ def test_coordinates_are_an_orthogonal_map_that_turns_bind_elementwise(n):
     assert np.array_equal(hrr.from_coords(spread[:, ::2]), hrr.from_coords(x))
     with pytest.raises(DimensionMismatch):
         hrr.bind_coords(x, np.zeros(n + 1))
+    # A session's pair, built in one buffer, is bitwise the pair built from two binds.
+    tags = codec.CoordTagSet(*hrr.to_coords(rng.normal(0.0, 1.0 / np.sqrt(n), (8, n))))
+    for i, (a, b) in enumerate(zip(x, y)):
+        want = hrr.normalize(hrr.bind_coords(tags.left, a) + hrr.bind_coords(tags.right, b) + tags.phi)
+        assert codec.cons_vec(a, b, tags).tobytes() == want.tobytes()
+        assert codec.cons_vec(spread[i, ::2], b, tags).tobytes() == want.tobytes()
+    with pytest.raises(DimensionMismatch):
+        codec.cons_vec(x[0], np.zeros(n + 1), tags)
 
 
 def test_coordinate_layout_is_dc_nyquist_then_interleaved_bins():
