@@ -1,20 +1,20 @@
 """Codec between symbolic trees and their vector encodings.
 
 A pair is the normalized superposition of its halves bound to the role tags L
-and R, plus the structure marker PHI; encoding a tree stores both halves of
-each pair in a cleanup memory so they can be recovered later by
-unbind-and-recall.  An evaluation session keeps its pairs in a ``PairTable``
-instead, which holds each pair's key with its two halves, and holds its
-vectors in ``hrr.to_coords`` coordinates, where its ``CoordTagSet`` binds by
-an elementwise product.  Atoms are registry draws.  Reserved tag names start
-with '#', which the reader cannot produce, so they never collide with user
-atoms; NIL, T and F are deliberately the ordinary atoms of those names.
+and R, plus the structure marker PHI.  Every vector is in ``hrr.to_coords``
+coordinates, atoms are ``AtomRegistry.coords``, and a ``TagSet`` binds and
+unbinds by elementwise products, so no pair costs an FFT.  Encoding a tree
+stores both halves of each pair in a cleanup memory so they can be recovered
+later by unbind-and-recall.  An evaluation session keeps its pairs in a
+``PairTable`` instead, which holds each pair's key with its two halves.
+Reserved tag names start with '#', which the reader cannot produce, so they
+never collide with user atoms; NIL, T and F are deliberately the ordinary
+atoms of those names.
 """
 from __future__ import annotations
 
 import math
-import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -27,7 +27,6 @@ from .reader import Atom, Pair, SExpr
 
 __all__ = [
     "TagSet",
-    "CoordTagSet",
     "PairTable",
     "DecodeError",
     "DONE_NAME",
@@ -67,107 +66,12 @@ class DecodeError(RuntimeError):
 
 @dataclass(frozen=True)
 class TagSet:
-    """The reserved vectors every session shares: roles, markers, constants.
+    """The reserved vectors of sessions and the codec in ``hrr.to_coords`` coordinates: roles, markers, constants.
 
-    Every bind and unbind of the codec and the evaluator has a role tag, L or
-    R, as its first operand.  On first use the tag set computes the real FFT
-    of each role tag and of its involution and keeps them; ``bind`` and
-    ``unbind`` use them and return bitwise what ``hrr.bind`` and
-    ``hrr.unbind`` return, for one vector or a stack of shape (n, dim).
-
-    The role binds of the registry's own atoms are computed once and kept,
-    read-only, for as long as the tag set lives: atoms recur as pair halves
-    far more often than anything else.  Each kept bind also holds its atom,
-    so the id it is found by cannot pass to another object.
-    """
-
-    left: Vector
-    right: Vector
-    phi: Vector
-    rho: Vector
-    nil: Vector
-    true: Vector
-    false: Vector
-    done: Vector
-    # Weakly: ``_TAG_SETS`` holds the tag set as long as the registry lives,
-    # so a strong reference back would keep both alive for good.
-    registry: Callable[[], AtomRegistry | None] = field(repr=False, compare=False)
-    # (id of a role tag, id of a registry atom) -> (the atom, role * atom)
-    _atom_binds: dict[tuple[int, int], tuple[Vector, Vector]] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
-
-    @cached_property
-    def _roles(self) -> dict[int, tuple[np.ndarray, Vector, np.ndarray]]:
-        """id of a role tag -> its spectrum, its involution and the involution's spectrum."""
-        roles = {}
-        for tag in (self.left, self.right):
-            inverse = hrr.involution(tag)
-            roles[id(tag)] = (np.fft.rfft(tag), inverse, np.fft.rfft(inverse))
-        return roles
-
-    @classmethod
-    def from_registry(cls, registry: AtomRegistry) -> "TagSet":
-        """The registry's tag set, built once per registry."""
-        tags = _TAG_SETS.get(registry)
-        if tags is None:
-            reserved = {attr: registry.vector(name) for attr, name in _RESERVED.items()}
-            tags = _TAG_SETS[registry] = cls(**reserved, registry=weakref.ref(registry))
-        return tags
-
-    @cached_property
-    def _pair_spectra(self) -> np.ndarray:
-        """The spectra of L and R, stacked as the rows of a pair's two binds."""
-        return np.stack([self._roles[id(self.left)][0], self._roles[id(self.right)][0]])
-
-    def bind(self, role: Vector, v: Vector) -> Vector:
-        """``hrr.bind(role, v)`` for ``role`` the tag set's ``left`` or ``right``."""
-        hit = self._atom_binds.get((id(role), id(v)))
-        if hit is not None:
-            return hit[1]
-        return self._keep(role, v, hrr.bind(role, v, spectrum=self._roles[id(role)][0]))
-
-    def pair_sum(self, a: Vector, b: Vector) -> Vector:
-        """``bind(left, a) + bind(right, b) + phi``, bitwise, from at most one stacked FFT round trip."""
-        jobs = ((self.left, a), (self.right, b))
-        out = [self._atom_binds.get((id(role), id(v)), (None, None))[1] for role, v in jobs]
-        todo = [i for i in (0, 1) if out[i] is None]
-        if todo:
-            operands = [jobs[i][1] for i in todo]
-            for v in operands:
-                if v.shape != self.left.shape:
-                    raise DimensionMismatch(f"cannot bind shape {v.shape} to shape {self.left.shape}")
-            bound = hrr.bind_spectra(self._pair_spectra[todo], np.fft.rfft(np.stack(operands)), len(self.left))
-            for i, row in zip(todo, bound):
-                out[i] = self._keep(*jobs[i], row)
-        return out[0] + out[1] + self.phi
-
-    def _keep(self, role: Vector, v: Vector, bound: Vector) -> Vector:
-        """``bound``, the bind of ``role`` and ``v``, kept first if ``v`` is a registry atom."""
-        registry = self.registry()
-        if registry is None or not registry.holds(v):
-            return bound
-        bound = bound.copy()  # a row of a stacked bind would keep its whole stack alive
-        bound.flags.writeable = False
-        self._atom_binds[(id(role), id(v))] = (v, bound)
-        return bound
-
-    def unbind(self, role: Vector, w: Vector) -> Vector:
-        """``hrr.unbind(role, w)`` for ``role`` the tag set's ``left`` or ``right``."""
-        _, inverse, spectrum = self._roles[id(role)]
-        return hrr.bind(inverse, w, spectrum=spectrum)
-
-
-_TAG_SETS: "weakref.WeakKeyDictionary[AtomRegistry, TagSet]" = weakref.WeakKeyDictionary()
-
-
-@dataclass(frozen=True)
-class CoordTagSet:
-    """``TagSet``'s reserved vectors and binds in ``hrr.to_coords`` coordinates.
-
-    A bind is ``hrr.bind_coords``, an elementwise product, so it needs no
-    FFT and no cache: ``cons_vec`` with this tag set builds the coordinates
-    of the pair that ``cons_vec`` with ``TagSet`` builds from the same atoms.
+    A bind is ``hrr.bind_coords``, an elementwise product, so it needs no FFT
+    and no cache; an unbind binds by the role's involution, whose
+    coordinates are the role's conjugate.  Both take one vector or a stack
+    of shape (..., dim).
     """
 
     left: Vector
@@ -180,13 +84,24 @@ class CoordTagSet:
     done: Vector
 
     @classmethod
-    def from_coords(cls, coords: Callable[[str], Vector]) -> "CoordTagSet":
+    def from_coords(cls, coords: Callable[[str], Vector]) -> "TagSet":
         """The tag set whose vectors are ``coords`` of the reserved names."""
         return cls(**{attr: coords(name) for attr, name in _RESERVED.items()})
 
     def bind(self, role: Vector, v: Vector) -> Vector:
         """The coordinates of the bind of ``role``, ``left`` or ``right``, and ``v``."""
         return hrr.bind_coords(role, v)
+
+    @cached_property
+    def _inverses(self) -> dict[int, Vector]:
+        """id of a role tag -> the coordinates of its involution: the tag with its middle bins conjugated."""
+        signs = np.ones(len(self.left))
+        hrr._middle(signs).imag = -1.0
+        return {id(tag): tag * signs for tag in (self.left, self.right)}
+
+    def unbind(self, role: Vector, w: Vector) -> Vector:
+        """The coordinates of ``hrr.unbind(role, w)`` for ``role`` the tag set's ``left`` or ``right``."""
+        return hrr.bind_coords(self._inverses[id(role)], w)
 
     @cached_property
     def _views(self) -> tuple[int, np.ndarray, np.ndarray]:
@@ -212,12 +127,12 @@ class CoordTagSet:
         return out
 
 
-def cons_vec(a: Vector, b: Vector, tags: TagSet | CoordTagSet) -> Vector:
+def cons_vec(a: Vector, b: Vector, tags: TagSet) -> Vector:
     """Pair constructor: normalize(L*a + R*b + PHI), in the tag set's coordinates."""
     return hrr.normalize(tags.pair_sum(a, b))
 
 
-def is_atomic_vec(v: Vector, tags: TagSet | CoordTagSet, t: Thresholds) -> bool | np.ndarray:
+def is_atomic_vec(v: Vector, tags: TagSet, t: Thresholds) -> bool | np.ndarray:
     """A vector is atomic when it carries no visible PHI component.
 
     For a stack of vectors the answer is one bool per vector.
@@ -251,7 +166,7 @@ class PairTable:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def cons(self, a: Vector, b: Vector, tags: TagSet | CoordTagSet) -> Vector:
+    def cons(self, a: Vector, b: Vector, tags: TagSet) -> Vector:
         """The key of the pair of ``a`` and ``b``, built only for halves not seen together before.
 
         Halves that are the very objects some row was built from return that
@@ -330,14 +245,13 @@ class PairTable:
 
 
 def encode(e: SExpr, registry: AtomRegistry, mem: CleanupMemory) -> Vector:
-    """Encode a tree bottom-up; every sub-pair's halves end up in memory."""
-    tags = TagSet.from_registry(registry)
-    return _encode(e, registry, mem, tags)
+    """Encode a tree bottom-up in coordinates; every sub-pair's halves end up in memory."""
+    return _encode(e, registry, mem, TagSet.from_coords(registry.coords))
 
 
 def _encode(e: SExpr, registry: AtomRegistry, mem: CleanupMemory, tags: TagSet) -> Vector:
     if isinstance(e, Atom):
-        return registry.vector(e.name)
+        return registry.coords(e.name)
     left = _encode(e.left, registry, mem, tags)
     right = _encode(e.right, registry, mem, tags)
     out = cons_vec(left, right, tags)
@@ -359,9 +273,9 @@ def decode(
     t: Thresholds,
     max_depth: int = DECODE_DEPTH_LIMIT,
 ) -> SExpr:
-    """Decode a vector back to a tree via nearest atoms and memory recall.
+    """Decode the coordinates ``v`` back to a tree via nearest atoms and memory recall.
 
-    An atomic vector decodes to its nearest registry atom; a pair node to the
+    An atomic vector decodes to its ``registry.name``; a pair node to the
     split that ``_best_splits`` picks, whose halves are stored rows.  The walk
     is a loop over tree levels, so Python's recursion limit does not bound the
     depth of a tree, and each level holds only distinct vectors: the root,
@@ -373,7 +287,7 @@ def decode(
     levels, each no wider than the store; it raises ``DecodeError`` when some
     path is longer than ``max_depth``.
     """
-    tags = TagSet.from_registry(registry)
+    tags = TagSet.from_coords(registry.coords)
     nodes = v[None]
     # Per level above the last: each node's atom or None, the level's pair
     # nodes and, for each, the next level's positions of its two halves.
@@ -381,7 +295,7 @@ def decode(
     for _ in range(max_depth):
         atomic = is_atomic_vec(nodes, tags, t)
         trees: list[SExpr | None] = [
-            Atom(registry.nearest(x)[0]) if a else None for x, a in zip(nodes, atomic)
+            Atom(registry.name(x)) if a else None for x, a in zip(nodes, atomic)
         ]
         pairs = np.flatnonzero(~atomic)
         if pairs.size == 0:

@@ -16,8 +16,8 @@ the session holds and never changes, are computed once per session.
 A session holds every vector in ``hrr.to_coords`` coordinates, an orthogonal
 map, so every norm, dot product and cosine is the time-domain one, and a
 bind is the elementwise ``hrr.bind_coords``: building a pair takes no FFT and one buffer.
-Atoms enter through ``coords`` and leave through ``atom_name``, the only
-readers of the registry.
+Atoms enter through ``coords`` and leave through ``atom_name``, the
+registry's ``AtomRegistry.coords`` and ``AtomRegistry.name``.
 
 A session owns the registry, the memories, the reserved tags and the step
 budget; REPL lines share one session so definitions and stored pairs persist.
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import codec, hrr, reader
 from .cleanup import CleanupMemory
-from .codec import CoordTagSet, DecodeError
+from .codec import DecodeError, TagSet
 from .hrr import AtomRegistry, Thresholds, Vector
 from .reader import Atom, Pair, SExpr
 
@@ -82,10 +82,7 @@ class EvalSession:
         c = self.config
         self.thresholds = Thresholds(c.theta_up, c.theta_down)
         self.registry = AtomRegistry(c.dim, c.seed)
-        # name -> its atom's coordinates, and the id of those back to the name
-        self._coords: dict[str, Vector] = {}
-        self._names: dict[int, str] = {}
-        self.tags = CoordTagSet.from_coords(self.coords)
+        self.tags = TagSet.from_coords(self.registry.coords)
         self.mem = CleanupMemory(
             c.dim,
             c.memory_kind,
@@ -121,23 +118,13 @@ class EvalSession:
 
     # -- plumbing -------------------------------------------------------------
 
-    @property
-    def dim(self) -> int:
-        return self.config.dim
-
     def coords(self, name: str) -> Vector:
-        """The ``hrr.to_coords`` coordinates of the atom ``name``, converted once per session and read-only."""
-        got = self._coords.get(name)
-        if got is None:
-            got = self._coords[name] = hrr.to_coords(self.registry.vector(name))
-            got.flags.writeable = False
-            self._names[id(got)] = name
-        return got
+        """The registry's read-only ``hrr.to_coords`` coordinates of the atom ``name``."""
+        return self.registry.coords(name)
 
     def atom_name(self, v: Vector) -> str:
         """The name of the atom nearest ``v``: by id for a vector ``coords`` returned, else by a registry scan."""
-        name = self._names.get(id(v))
-        return name if name is not None else self.registry.nearest(hrr.from_coords(v))[0]
+        return self.registry.name(v)
 
     def _sim(self, u: Vector, v: Vector) -> float:
         """``hrr.similarity(u, v)``, computed once per session when both operands are read-only."""

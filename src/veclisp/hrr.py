@@ -5,9 +5,9 @@ drawn i.i.d. normal with variance 1/n so their expected norm is 1.  Structure is
 built with circular convolution (binding) and elementwise addition
 (superposition), and taken apart with an approximate inverse based on index
 reversal.  ``to_coords`` maps a vector to orthonormal real Fourier
-coordinates, where binding is the elementwise ``bind_coords``; evaluation
-sessions hold their vectors there.  All operations are deterministic given a
-registry seed.
+coordinates, where binding is the elementwise ``bind_coords``; the codec and
+evaluation sessions hold their vectors there, with atoms from
+``AtomRegistry.coords``.  All operations are deterministic given a registry seed.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ import hashlib
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 import numpy as np
 from numpy.typing import NDArray
@@ -30,7 +30,6 @@ __all__ = [
     "DimensionMismatch",
     "DegenerateVector",
     "bind",
-    "bind_spectra",
     "to_coords",
     "from_coords",
     "bind_coords",
@@ -76,7 +75,8 @@ class AtomRegistry:
 
     Each vector is derived from (seed, dim, name) alone, so the mapping does not
     depend on insertion order and two registries with the same seed agree on
-    every name they share.  Lookups cache the drawn vector.
+    every name they share.  Lookups cache the drawn vector, and ``coords``
+    caches its ``to_coords`` coordinates.
     """
 
     def __init__(self, dim: int = 2048, seed: int = 0) -> None:
@@ -87,13 +87,17 @@ class AtomRegistry:
         self._entries: dict[str, Vector] = {}
         # hash of an atom's bytes -> the names drawn with that hash, in draw order
         self._by_bytes: dict[int, list[str]] = {}
-        # ids of the drawn vectors: the registry holds every vector it drew,
-        # so while it lives no other object has one of these ids.
-        self._ids: set[int] = set()
+        # name -> its atom's coordinates, and the id of those back to the name;
+        # the registry holds every coordinate object, so no other object has its id.
+        self._coords: dict[str, Vector] = {}
+        self._names: dict[int, str] = {}
         self._lock = threading.Lock()
-        # The names, the stacked atom vectors and their norms, built on the
-        # first ``nearest`` after a new atom is drawn.
-        self._table: tuple[list[str], Vector, Vector] | None = None
+        # From the first ``nearest`` scan on: the atoms in draw order, stacked
+        # into rows [0, _filled) of ``_table``, and their norms in ``_norms``;
+        # later scans copy new atoms in, growing both when full.
+        self._table: Vector | None = None
+        self._norms: Vector | None = None
+        self._filled = 0
 
     def vector(self, name: str) -> Vector:
         """Return the atom vector for ``name``, drawing and caching it on first use."""
@@ -107,14 +111,27 @@ class AtomRegistry:
                 got = rng.normal(0.0, 1.0 / np.sqrt(self.dim), self.dim)
                 got.flags.writeable = False
                 self._entries[name] = got
-                self._ids.add(id(got))
                 self._by_bytes.setdefault(hash(got.tobytes()), []).append(name)
-                self._table = None
         return got
 
-    def holds(self, v: Vector) -> bool:
-        """Whether ``v`` is the very object the registry drew for one of its names."""
-        return id(v) in self._ids
+    def coords(self, name: str) -> Vector:
+        """The read-only ``to_coords`` of the atom ``name``: converted once, one object per name."""
+        got = self._coords.get(name)
+        if got is not None:
+            return got
+        v = self.vector(name)
+        with self._lock:
+            got = self._coords.get(name)
+            if got is None:
+                got = self._coords[name] = to_coords(v)
+                got.flags.writeable = False
+                self._names[id(got)] = name
+        return got
+
+    def name(self, x: Vector) -> str:
+        """The name of the atom nearest coordinates ``x``: by id for an object ``coords`` made, else by a scan."""
+        got = self._names.get(id(x))
+        return got if got is not None else self.nearest(from_coords(x))[0]
 
     def names(self) -> list[str]:
         return list(self._entries)
@@ -125,15 +142,21 @@ class AtomRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._entries
 
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
-
     def _snapshot(self) -> tuple[list[str], Vector, Vector]:
+        """The names in draw order, the stacked atoms and their norms; atoms drawn since the last call join now."""
         with self._lock:
-            if self._table is None:
-                matrix = np.stack([self._entries[k] for k in self._entries])
-                self._table = list(self._entries), matrix, np.linalg.norm(matrix, axis=1)
-            return self._table
+            names, filled = list(self._entries), self._filled
+            m = len(names)
+            if self._table is None or len(self._table) < m:
+                table, norms = np.empty((max(16, 2 * m), self.dim)), np.empty(max(16, 2 * m))
+                if filled:
+                    table[:filled], norms[:filled] = self._table[:filled], self._norms[:filled]
+                self._table, self._norms = table, norms
+            if filled < m:
+                self._table[filled:m] = [self._entries[k] for k in names[filled:]]
+                self._norms[filled:m] = np.linalg.norm(self._table[filled:m], axis=1)
+                self._filled = m
+            return names, self._table[:m], self._norms[:m]
 
     def nearest(self, v: Vector) -> tuple[str, float]:
         """Name and cosine similarity of the registry atom most similar to ``v``.
@@ -176,42 +199,23 @@ def _check_dim(v: Vector, dim: int) -> None:
         raise DimensionMismatch(f"expected dimension {dim}, got shape {v.shape}")
 
 
-def _check_pair(u: Vector, v: Vector) -> None:
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"operand shapes differ: {u.shape} vs {v.shape}")
-
-
-def bind(u: Vector, v: Vector, *, spectrum: np.ndarray | None = None) -> Vector:
+def bind(u: Vector, v: Vector) -> Vector:
     """Circular convolution of ``u`` and ``v``.
 
     Computed through the real FFT, which matches the naive O(n^2) sum to within
     accumulated rounding (well under 1e-9 for the dimensions used here) and is
-    exactly commutative.  A caller that binds one fixed ``u`` many times (a
-    role tag) may pass ``spectrum=np.fft.rfft(u)``, computed once; the result
-    is bitwise the same.  ``v`` may also be a stack of shape (m, n): row i of
-    the result is then bitwise ``bind(u, v[i])``, from one batch of FFTs.
+    exactly commutative.
     """
-    if u.ndim != 1 or v.ndim > 2 or v.shape[-1:] != u.shape:
+    if u.ndim != 1 or v.shape != u.shape:
         raise DimensionMismatch(f"cannot bind shape {v.shape} to shape {u.shape}")
-    n = u.shape[0]
-    fu = np.fft.rfft(u) if spectrum is None else spectrum
-    return bind_spectra(fu, np.fft.rfft(v), n)
-
-
-def bind_spectra(fu: np.ndarray, fv: np.ndarray, n: int) -> Vector:
-    """Circular convolution of length ``n`` from the real FFTs of its operands.
-
-    ``fv`` may be a stack of spectra, one per row, and ``fu`` either one
-    spectrum or a stack of the same shape; row i of the result is then
-    bitwise ``bind`` of row i's operands, whatever the other rows hold.
-    """
+    fu, fv = np.fft.rfft(u), np.fft.rfft(v)
     # The complex multiply ufunc may fuse with FMA, which breaks bitwise
     # symmetry under operand swap; the split form commutes exactly because
     # IEEE multiplication and addition each do.
-    spec = np.empty(fv.shape, dtype=complex)
+    spec = np.empty(fu.shape, dtype=complex)
     spec.real = fu.real * fv.real - fu.imag * fv.imag
     spec.imag = fu.real * fv.imag + fu.imag * fv.real
-    return np.fft.irfft(spec, n=n)
+    return np.fft.irfft(spec, n=u.shape[0])
 
 
 def _reals(n: int) -> int:
@@ -275,7 +279,6 @@ def involution(u: Vector) -> Vector:
 
 def unbind(u: Vector, w: Vector) -> Vector:
     """Approximate inverse of binding: recover v from bind(u, v) up to noise."""
-    _check_pair(u, w)
     return bind(involution(u), w)
 
 
@@ -299,7 +302,8 @@ def similarity(u: Vector, v: Vector) -> float | np.ndarray:
     # ops_per_s of 10 runs by 13% (2-vCPU VM, one BLAS thread).
     if u.ndim > 1 or v.ndim > 1:
         return _similarities(u, v)
-    _check_pair(u, v)
+    if u.shape != v.shape:
+        raise DimensionMismatch(f"operand shapes differ: {u.shape} vs {v.shape}")
     # For a 1-D float64 vector, sqrt of the dot product is bitwise np.linalg.norm.
     nu = math.sqrt(u @ u)
     nv = math.sqrt(v @ v)

@@ -1,5 +1,6 @@
 """Codec tests: the pair construction formula, atomicity probing, and
-encode/decode round-trips through the cleanup memory."""
+encode/decode round-trips through the cleanup memory, all in the registry's
+orthonormal Fourier coordinates."""
 import numpy as np
 import pytest
 
@@ -15,50 +16,27 @@ THRESH = Thresholds()
 
 def fresh(seed=0):
     reg = AtomRegistry(DIM, seed=seed)
-    return reg, TagSet.from_registry(reg), CleanupMemory(DIM)
+    return reg, TagSet.from_coords(reg.coords), CleanupMemory(DIM)
 
 
 def test_tagset_is_deterministic_per_registry():
     reg1, tags1, _ = fresh(seed=3)
     reg2, tags2, _ = fresh(seed=3)
     assert np.array_equal(tags1.phi, tags2.phi)
-    assert np.array_equal(tags1.left, reg1.vector("#L"))
-    assert np.array_equal(tags2.nil, reg2.vector("NIL"))
-
-
-def test_tagset_role_spectra_bind_bitwise_as_hrr_does():
-    reg, tags, _ = fresh(seed=5)
-    assert TagSet.from_registry(reg) is tags  # built once per registry
-    rng = np.random.default_rng(5)
-    for role in (tags.left, tags.right):
-        assert np.array_equal(hrr.bind(role, role, spectrum=np.fft.rfft(role)), hrr.bind(role, role))
-        for _ in range(5):
-            v = rng.normal(0.0, 1.0 / np.sqrt(DIM), DIM)
-            assert tags.bind(role, v).tobytes() == hrr.bind(role, v).tobytes()
-            assert tags.bind(role, v).tobytes() == hrr.bind(v, role).tobytes()
-            assert tags.unbind(role, v).tobytes() == hrr.unbind(role, v).tobytes()
-        stack = rng.normal(0.0, 1.0 / np.sqrt(DIM), (4, DIM))
-        bound, unbound = tags.bind(role, stack), tags.unbind(role, stack)
-        for i, v in enumerate(stack):
-            assert bound[i].tobytes() == hrr.bind(role, v).tobytes()
-            assert unbound[i].tobytes() == hrr.unbind(role, v).tobytes()
+    assert tags1.left is reg1.coords("#L")
+    assert tags2.nil is reg2.coords("NIL")
 
 
 def test_cons_vec_matches_the_role_binding_formula():
     for dim in (64, 257, 2048):
         reg = AtomRegistry(dim, seed=dim)
-        tags = TagSet.from_registry(reg)
-        a, b, c = (reg.vector(n) for n in "ABC")
+        tags = TagSet.from_coords(reg.coords)
+        a, b, c = (reg.coords(n) for n in "ABC")
         key = codec.cons_vec(c, c, tags)
-        other = np.random.default_rng(dim).normal(0.0, 1.0 / np.sqrt(dim), dim)
-        # Atom-atom uncached, then cached; one side cached; atom-key; key-key.
-        for x, y in ((a, b), (a, b), (a, c), (c, a), (a, key), (key, b), (key, other), (other, other)):
-            want = hrr.normalize(hrr.bind(tags.left, x) + hrr.bind(tags.right, y) + tags.phi)
+        other = hrr.to_coords(np.random.default_rng(dim).normal(0.0, 1.0 / np.sqrt(dim), dim))
+        for x, y in ((a, b), (a, c), (c, a), (a, key), (key, b), (key, other), (other, other)):
+            want = hrr.normalize(tags.bind(tags.left, x) + tags.bind(tags.right, y) + tags.phi)
             assert codec.cons_vec(x, y, tags).tobytes() == want.tobytes()
-        # The role binds of an atom are computed once, for ``bind`` as for pairs.
-        kept = tags.bind(tags.left, a)
-        assert kept.tobytes() == hrr.bind(tags.left, a).tobytes() and not kept.flags.writeable
-        assert tags.bind(tags.left, a) is kept and tags.bind(tags.left, other) is not tags.bind(tags.left, other)
     with pytest.raises(hrr.DimensionMismatch):
         codec.cons_vec(a, np.zeros(2047), tags)
 
@@ -130,7 +108,7 @@ def test_pair_table_builds_its_key_matrix_on_the_first_scan_only():
 
 def test_encode_stores_both_halves_of_each_pair():
     reg, tags, mem = fresh()
-    a, b, c = (reg.vector(n) for n in "ABC")
+    a, b, c = (reg.coords(n) for n in "ABC")
     codec.encode(parse("((A . B) . C)"), reg, mem)
     # Bottom up, left half before right: A and B, then (A . B) and C.
     want = [a, b, codec.cons_vec(a, b, tags), c]
@@ -141,28 +119,28 @@ def test_encode_stores_both_halves_of_each_pair():
 
 def test_atomicity_probe():
     reg, tags, mem = fresh()
-    assert codec.is_atomic_vec(reg.vector("A"), tags, THRESH)
+    assert codec.is_atomic_vec(reg.coords("A"), tags, THRESH)
     assert codec.is_atomic_vec(tags.nil, tags, THRESH)
-    pair = codec.cons_vec(reg.vector("A"), reg.vector("B"), tags)
+    pair = codec.cons_vec(reg.coords("A"), reg.coords("B"), tags)
     assert not codec.is_atomic_vec(pair, tags, THRESH)
 
 
 def test_unbind_recall_recovers_pair_halves():
     reg, tags, mem = fresh()
-    a = reg.vector("A")
-    b = reg.vector("B")
+    a = reg.coords("A")
+    b = reg.coords("B")
     v = codec.cons_vec(a, b, tags)
     mem.append(a)
     mem.append(b)
-    assert np.array_equal(mem.recall(hrr.unbind(tags.left, v)), a)
-    assert np.array_equal(mem.recall(hrr.unbind(tags.right, v)), b)
+    assert np.array_equal(mem.recall(tags.unbind(tags.left, v)), a)
+    assert np.array_equal(mem.recall(tags.unbind(tags.right, v)), b)
 
 
 def test_encode_composes_cons_vec_bottom_up():
     reg, tags, mem = fresh()
     tree = parse("(A . B)")
     got = codec.encode(tree, reg, mem)
-    want = codec.cons_vec(reg.vector("A"), reg.vector("B"), tags)
+    want = codec.cons_vec(reg.coords("A"), reg.coords("B"), tags)
     assert np.array_equal(got, want)
 
 
@@ -231,30 +209,35 @@ class CountingMemory(CleanupMemory):
 
 
 def reference_decode(v, mem, reg, t, depth=codec.DECODE_DEPTH_LIMIT):
-    """Reference decoder: float64 shortlists, and a 3x3 loop that rebinds both halves per split."""
-    tags = TagSet.from_registry(reg)
+    """Reference decoder in the time domain: float64 shortlists, and a 3x3 loop that rebinds both halves per split.
+
+    The probe and the stored rows are taken back from coordinates with
+    ``hrr.from_coords``; atoms, binds and unbinds are the registry's vectors
+    and ``hrr.bind``/``hrr.unbind``.
+    """
+    left, right, phi = (reg.vector(name) for name in (codec.L_NAME, codec.R_NAME, codec.PHI_NAME))
+    rows = hrr.from_coords(mem.traces)
 
     def shortlist(probe):
-        order = np.argsort(mem.activations(probe))[::-1][: codec.DECODE_SHORTLIST]
-        return [mem.traces[i].copy() for i in order]
+        order = np.argsort(rows @ probe)[::-1][: codec.DECODE_SHORTLIST]
+        return [rows[i].copy() for i in order]
 
     def walk(v, depth):
         if depth <= 0:
             raise DecodeError("decode divergence: depth limit exceeded")
-        if codec.is_atomic_vec(v, tags, t):
+        if hrr.similarity(v, phi) < t.theta_down:
             return Atom(reg.nearest(v)[0])
         best_sim = -np.inf
         best = None
-        for left in shortlist(hrr.unbind(tags.left, v)):
-            for right in shortlist(hrr.unbind(tags.right, v)):
-                rebuilt = hrr.bind(tags.left, left) + hrr.bind(tags.right, right) + tags.phi
-                s = hrr.similarity(rebuilt, v)
+        for a in shortlist(hrr.unbind(left, v)):
+            for b in shortlist(hrr.unbind(right, v)):
+                s = hrr.similarity(hrr.bind(left, a) + hrr.bind(right, b) + phi, v)
                 if s > best_sim:
                     best_sim = s
-                    best = (left, right)
+                    best = (a, b)
         return Pair(walk(best[0], depth - 1), walk(best[1], depth - 1))
 
-    return walk(v, depth)
+    return walk(hrr.from_coords(v), depth)
 
 
 def test_decode_matches_the_reference_decoder_on_a_crowded_store():
@@ -298,10 +281,8 @@ def test_decode_matches_the_reference_decoder_on_a_crowded_store():
 
 def test_decode_depth_limit_stops_self_reference():
     reg, tags, _ = fresh()
-    seedling = reg.vector("A")
-    looped = hrr.normalize(
-        hrr.bind(tags.left, seedling) + hrr.bind(tags.right, seedling) + tags.phi
-    )
+    seedling = reg.coords("A")
+    looped = codec.cons_vec(seedling, seedling, tags)
     for max_depth in (1, 5, codec.DECODE_DEPTH_LIMIT):
         mem = CountingMemory(DIM)
         mem.append(looped)  # both halves now recall to the pair itself
@@ -320,7 +301,7 @@ def test_decode_walks_lists_deeper_than_the_recursion_limit():
     names = [f"X{i}" for i in range(40)]
     v = tags.nil
     for name in reversed(names):  # a cons loop: encode itself recurses
-        a = reg.vector(name)
+        a = reg.coords(name)
         mem.append(a)
         mem.append(v)
         v = codec.cons_vec(a, v, tags)

@@ -1,9 +1,7 @@
 """Vector evaluator behavior: structural ops, branching, lambdas, the driver."""
 
-import gc
 import inspect
 import sys
-import weakref
 
 import numpy as np
 import pytest
@@ -89,39 +87,26 @@ def test_a_repeated_cons_of_held_halves_binds_nothing(monkeypatch):
     assert again is c and len(sess.pairs) == 1
 
 
-def test_the_atom_bind_cache_dies_with_its_registry():
-    # A session binds in coordinates and builds no codec tag set; the codec's
-    # tag set for the session's registry caches the binds of its atoms, and
-    # both go when the session does.
-    sess = fresh()
-    run(sess, "(CONS (QUOTE A) (CONS (QUOTE B) ()))")
-    assert sess.registry not in codec._TAG_SETS
-    tags = codec.TagSet.from_registry(sess.registry)
-    codec.cons_vec(sess.registry.vector("A"), sess.registry.vector("B"), tags)
-    assert tags._atom_binds  # A and B were bound as pair halves
-    registry, tags = weakref.ref(sess.registry), weakref.ref(tags)
-    del sess
-    gc.collect()
-    assert registry() is None and tags() is None
-
-
 @pytest.mark.parametrize("dim", [DIM, 257])
 def test_session_keys_are_the_coordinates_of_the_time_domain_pairs(dim):
     # The paper's pair normalize(L * a + R * b + PHI), built by FFT from the
-    # atoms of a registry with the session's dim and seed.
+    # atoms of a registry with the session's dim and seed; a session and
+    # the codec both build its coordinates.
     sess = fresh(dim=dim)
     registry = hrr.AtomRegistry(dim, 11)
-    tags = codec.TagSet.from_registry(registry)
+    left, right, phi = (registry.vector(name) for name in (codec.L_NAME, codec.R_NAME, codec.PHI_NAME))
 
     def built(tree):
         if isinstance(tree, Atom):
             return registry.vector(tree.name)
-        return codec.cons_vec(built(tree.left), built(tree.right), tags)
+        return hrr.normalize(hrr.bind(left, built(tree.left)) + hrr.bind(right, built(tree.right)) + phi)
 
     for text in ("(A . B)", "((A B) . (C (D) . NIL))"):
         tree = parse(text)
-        assert np.abs(sess.encode(tree) - hrr.to_coords(built(tree))).max() < 1e-12
-    assert np.abs(sess.tags.phi - hrr.to_coords(tags.phi)).max() < 1e-12
+        want = hrr.to_coords(built(tree))
+        assert np.abs(sess.encode(tree) - want).max() < 1e-12
+        assert np.abs(codec.encode(tree, registry, cleanup.CleanupMemory(dim)) - want).max() < 1e-12
+    assert np.abs(sess.tags.phi - hrr.to_coords(phi)).max() < 1e-12
     assert sess.atom_name(sess.coords("A")) == "A"
     # A vector the session did not hand out is named by the registry's nearest atom.
     assert sess.atom_name(sess.coords("B") * 0.5 + 0.1 * sess.coords("A")) == "B"

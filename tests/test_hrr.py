@@ -1,5 +1,8 @@
 """Algebra tests: FFT binding against a hand-rolled convolution, exact
 identities, registry determinism, and the lazy cascade's forcing contract."""
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -50,24 +53,8 @@ def test_bind_is_commutative_bit_for_bit():
 def test_bind_rejects_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         hrr.bind(np.zeros(4), np.zeros(5))
-
-
-@pytest.mark.parametrize("n", [64, 257, 2048])
-def test_stacked_bind_rows_are_bitwise_single_binds(n):
-    rng = np.random.default_rng(11 + n)
-    u = rng.normal(0.0, 1.0, n)
-    stack = rng.normal(0.0, 1.0, (7, n))
-    got = hrr.bind(u, stack)
-    assert got.shape == (7, n)
-    for i, v in enumerate(stack):
-        assert got[i].tobytes() == hrr.bind(u, v).tobytes()
-    assert hrr.bind(u, stack, spectrum=np.fft.rfft(u)).tobytes() == got.tobytes()
-    assert hrr.bind(u, stack[:0]).shape == (0, n)
-    for bad in (np.zeros((2, 3, n)), np.zeros((2, n + 1))):
-        with pytest.raises(DimensionMismatch):
-            hrr.bind(u, bad)
     with pytest.raises(DimensionMismatch):
-        hrr.bind(stack, stack)
+        hrr.bind(np.zeros((2, 4)), np.zeros((2, 4)))  # one vector per operand
 
 
 # -- orthonormal Fourier coordinates --------------------------------------------------
@@ -88,15 +75,24 @@ def test_coordinates_are_an_orthogonal_map_that_turns_bind_elementwise(n):
         assert np.abs(hrr.bind_coords(x[i], y[i]) - hrr.to_coords(hrr.bind(u[i], v[i]))).max() < 1e-12
     assert np.abs(hrr.from_coords(x) - u).max() < 1e-12
     # One operand broadcasts against a stack, and a strided operand reads as its copy.
-    assert np.abs(hrr.bind_coords(x[0], y) - hrr.to_coords(hrr.bind(u[0], v))).max() < 1e-12
+    assert np.abs(hrr.bind_coords(x[0], y) - hrr.to_coords(np.stack([hrr.bind(u[0], w) for w in v]))).max() < 1e-12
     spread = np.zeros((5, 2 * n))
     spread[:, ::2] = x
     assert np.array_equal(hrr.bind_coords(spread[:, ::2], y), hrr.bind_coords(x, y))
     assert np.array_equal(hrr.from_coords(spread[:, ::2]), hrr.from_coords(x))
     with pytest.raises(DimensionMismatch):
         hrr.bind_coords(x, np.zeros(n + 1))
-    # A session's pair, built in one buffer, is bitwise the pair built from two binds.
-    tags = codec.CoordTagSet(*hrr.to_coords(rng.normal(0.0, 1.0 / np.sqrt(n), (8, n))))
+    # A tag set's unbind, by the role's conjugate, is the coordinates of the
+    # unbind by the role's involution, for one vector and for a stack.
+    roles = rng.normal(0.0, 1.0 / np.sqrt(n), (8, n))
+    tags = codec.TagSet(*hrr.to_coords(roles))
+    for role, tag in ((roles[0], tags.left), (roles[1], tags.right)):
+        assert np.abs(tags.unbind(tag, y[0]) - hrr.to_coords(hrr.unbind(role, v[0]))).max() < 1e-12
+        unbound = tags.unbind(tag, y[:4])
+        assert unbound.shape == (4, n)
+        for i in range(4):
+            assert np.abs(unbound[i] - hrr.to_coords(hrr.unbind(role, v[i]))).max() < 1e-12
+    # A pair, built in one buffer, is bitwise the pair built from two binds.
     for i, (a, b) in enumerate(zip(x, y)):
         want = hrr.normalize(hrr.bind_coords(tags.left, a) + hrr.bind_coords(tags.right, b) + tags.phi)
         assert codec.cons_vec(a, b, tags).tobytes() == want.tobytes()
@@ -477,6 +473,40 @@ def test_registry_nearest_finds_every_drawn_atom_exactly():
     assert name == "A4" and reg._table is not None
 
 
+def test_registry_coords_are_converted_once_read_only_one_object_per_name():
+    reg = AtomRegistry(256, seed=17)
+    x = reg.coords("A")
+    assert reg.coords("A") is x and x.tobytes() == hrr.to_coords(reg.vector("A")).tobytes()
+    assert not x.flags.writeable
+    with pytest.raises(ValueError):
+        x[0] = 0.0
+    # Threads converting the same names at once still get one object per name.
+    names = [f"B{i}" for i in range(50)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            got = list(pool.map(reg.coords, names * 4, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    for i, name in enumerate(names):
+        assert all(y is reg.coords(name) and reg.name(y) == name for y in got[i :: len(names)])
+
+
+def test_registry_names_held_coords_by_id_and_others_by_nearest_atom():
+    reg = AtomRegistry(256, seed=18)
+    names = [f"A{i}" for i in range(10)]
+    coords = [reg.coords(name) for name in names]
+    for name, x in zip(names, coords):
+        assert reg.name(x) == name
+    assert reg._table is None  # held coordinates are named without stacking the atoms
+    rng = np.random.default_rng(18)
+    for name, x in zip(names, coords):
+        assert reg.name(x.copy()) == name
+        assert reg.name(x + rng.normal(0.0, 0.02, 256)) == name
+    assert reg._table is not None
+
+
 def test_registry_nearest_follows_new_atoms():
     reg = AtomRegistry(256, seed=15)
     rng = np.random.default_rng(15)
@@ -488,14 +518,19 @@ def test_registry_nearest_follows_new_atoms():
     later = reg.vector("LATER")
     name, sim = reg.nearest(later)
     assert name == "LATER" and sim == 1.0
-    names = reg.names()
-    matrix = np.stack([reg.vector(k) for k in names])
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for v in (probe, later, np.zeros(256)):
-            norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(v)
-            sims = np.where(norms > 0.0, matrix @ v / norms, 0.0)
-            best = int(np.argmax(sims))
-            assert reg.nearest(v) == (names[best], float(sims[best]))
+    # The stacked atoms grow in place, then past their first buffer, and
+    # score bitwise as a fresh stack of every atom does.
+    for extra in (0, 3, 30):
+        for i in range(extra):
+            reg.vector(f"M{extra}.{i}")
+        names = reg.names()
+        matrix = np.stack([reg.vector(k) for k in names])
+        with np.errstate(invalid="ignore", divide="ignore"):
+            for v in (probe, 0.5 * later, np.zeros(256)):  # no exact atom: each one scans
+                norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(v)
+                sims = np.where(norms > 0.0, matrix @ v / norms, 0.0)
+                best = int(np.argmax(sims))
+                assert reg.nearest(v) == (names[best], float(sims[best]))
 
 
 def test_registry_nearest_on_empty_registry_raises():

@@ -44,6 +44,10 @@ def test_tracer_wraps_the_library_and_summarizes_a_decode_and_a_run():
         session = api.evaluator.EvalSession(api.evaluator.SessionConfig(dim=512))
         got = session.run(api.reader.parse("(CAR (CDR (QUOTE (A B C))))"))
         assert got == reader.Atom("B")
+        # The codec and sessions bind in Fourier coordinates; the paper's
+        # time-domain bind is still a traced entry point.
+        a, b = registry.vector("A"), registry.vector("B")
+        assert np.array_equal(api.hrr.bind(a, b), hrr.bind(b, a))
     assert (codec.decode, hrr.bind, cleanup.CleanupMemory.activations, evaluator.EvalSession.car) == originals
 
     counts, times = tracer.summarize(np)
