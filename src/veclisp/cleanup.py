@@ -4,7 +4,9 @@ All five kinds share one recall shape: weight the stored rows by some function
 of their activations against the probe, then sum.  ``lookup`` is the hardmax
 special case, ``mhn`` the softmax one, ``minerva2`` an odd-power weighting,
 ``hopfield`` iterates the hardmax step to a fixed point, and ``grossberg``
-adds the probe back in and squashes.
+adds the probe back in and squashes.  A store finds a row by its exact bytes
+without a scan, deduplicates appends by a float64 cosine scan, and screens
+shortlists through a float32 copy of its rows.
 """
 from __future__ import annotations
 
@@ -13,7 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from .hrr import Vector, _dots
+from .hrr import KEY_PREFIX, Vector, _dots
 
 __all__ = [
     "KINDS",
@@ -27,11 +29,6 @@ KINDS = ("lookup", "mhn", "minerva2", "hopfield", "grossberg")
 _MAGIC = b"VCM2"
 _HEADER = struct.Struct("<4sBBQQ7dQ")
 
-# The exact-row index may stand in for the dedup scan only where the scan is
-# sure to agree.  A stored row equal to the trace scores 1 up to a rounding of
-# a few ulps per dimension when its squared norm neither underflows nor
-# overflows.
-_NORM_MIN, _NORM_MAX = 1e-150, 1e150
 _EPS = float(np.finfo(np.float64).eps)
 
 # The float32 screen bounds a scan only for a float64 probe and stored rows
@@ -40,14 +37,6 @@ _EPS = float(np.finfo(np.float64).eps)
 # 2**-150, which is 4 * dim * eps64 of a norm product of at least 2**-100.
 _SCREEN_MIN, _SCREEN_MAX = 2.0**-50, 2.0**50
 _U32 = 2.0**-24
-
-# The float32 screen keeps each row's first _HEAD_COLS coordinates in one block
-# and the rest in another.  Dedup bounds every row's cosine from the head block
-# and the float64 norm of the row's tail (Cauchy-Schwarz), and screens in full
-# only the rows that bound can still reach the threshold.  At dim 2048 the tail
-# carries about 1792/2048 of a random row's energy, so an unrelated row bounds
-# near 0.88 and few rows survive a 0.99 threshold.
-_HEAD_COLS = 256
 
 
 def _screen_margin(dim: int) -> float:
@@ -60,17 +49,6 @@ def _screen_margin(dim: int) -> float:
     """
     k = (dim + 2) * _U32
     return k / (1.0 - k) + 8 * dim * _EPS
-
-
-def _bound_slack(dim: int) -> float:
-    """Relative slack for the float64 rounding of the dedup pre-screen's bound.
-
-    It covers the tail norms' and the row norms' rounding (each at most about
-    (dim/2 + 2) eps64 relative), the bound's own additions and division, and
-    float64 underflow in the tails' squared norms, which costs far less than
-    eps64 of a norm product of at least 2**-100.
-    """
-    return 4 * (dim + 2) * _EPS
 
 
 class EmptyMemoryError(RuntimeError):
@@ -92,7 +70,7 @@ def _softmax(z: Vector) -> Vector:
 
 
 def _row_key(row: Vector) -> int:
-    return hash(row.tobytes())
+    return hash(row[:KEY_PREFIX].tobytes())
 
 
 def _proven_top(acts: Vector, err: Vector, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -118,42 +96,27 @@ class CleanupMemory:
 
     Rows are kept in insertion order.  ``append`` deduplicates: a trace whose
     cosine with some stored row is at least ``dedup_threshold`` is not stored
-    again, so repeated stores do not grow the matrix.  A byte-identical repeat
-    is found through an index of row hashes without scanning the store; any
-    other trace is compared with every row.  A trace of zero norm (or a NaN
-    norm) is never deduplicated, and a row whose score is NaN never matches.
+    again, so repeated stores do not grow the matrix.  The cosines come from
+    one float64 scan over every row.  A trace of zero norm (or a NaN norm) is
+    never deduplicated, and a row whose score is NaN never matches.
     Snapshots keep the threshold along with the other parameters, which are
-    carried inertly when the kind does not use them.
+    carried inertly when the kind does not use them.  ``find`` looks a row up
+    by its exact bytes through an index of row hashes, without a scan.
 
-    Scans are screened through a float32 copy of the rows, which costs 4 bytes
-    per stored coordinate on top of the 8 of the float64 rows, kept as a head
-    block of the first K = min(256, dim) coordinates and a tail block of the
-    rest, plus the float64 norm of each row's tail.  A float32 dot product of
-    a row r and a probe p differs from the float64 one by at most
-    ``margin * ||r|| * ||p||``, where ``margin`` is gamma_{dim+2} in float32
-    units plus a few dim * eps64 (about 1.22e-4 at dim 2048).
-
-    Dedup first rules rows out from the head block alone.  By Cauchy-Schwarz
-    r[K:].t[K:] <= ||r[K:]|| ||t[K:]||, so a row can reach the threshold only
-    if (head32 + ||r[K:]|| ||t[K:]|| (1 + delta)) / (||r|| ||t||) >= threshold
-    - margin - delta, where head32 is the float32 dot product of the heads and
-    delta a few dim * eps64 for the float64 rounding of the bound itself.  No
-    survivor means the trace is stored; the survivors alone are gathered and
-    screened in full.  Of their screened cosine maximum s: s >= threshold +
-    margin is a duplicate, s < threshold - margin is stored, and only the band
-    between runs the float64 scan, over every row.  A trace outside the
-    float32 screen's range skips the bound and runs the float64 scan over
-    every row.
-
-    ``shortlist`` returns the float32 top k when every row's lower bound is
-    above the next one's upper bound and the k-th's is above every other
-    row's; otherwise the float64 activations are sorted.  A block of probes is
-    screened in one float32 matrix product, and each probe keeps its own proof
-    and its own float64 fallback.  The screen applies only to a float64 probe
-    whose norm, like every stored row's, lies in [2**-50, 2**50]; otherwise
-    the float64 scan runs.  Either way the stored rows and shortlists are
-    those of the float64 scan.  Recall ranks by the float64 activations, with
-    their lowest-index tie-breaking.
+    ``shortlist`` is screened through a float32 copy of the rows, which costs
+    4 bytes per stored coordinate on top of the 8 of the float64 rows.  A
+    float32 dot product of a row r and a probe p differs from the float64 one
+    by at most ``margin * ||r|| * ||p||``, where ``margin`` is gamma_{dim+2}
+    in float32 units plus a few dim * eps64 (about 1.22e-4 at dim 2048).  It
+    returns the float32 top k when every row's lower bound is above the next
+    one's upper bound and the k-th's is above every other row's; otherwise
+    the float64 activations are sorted.  A block of probes is screened in one
+    float32 matrix product, and each probe keeps its own proof and its own
+    float64 fallback.  The screen applies only to a float64 probe whose norm,
+    like every stored row's, lies in [2**-50, 2**50]; otherwise the float64
+    scan runs.  Either way the shortlists are those of the float64 scan.
+    Recall ranks by the float64 activations, with their lowest-index
+    tie-breaking.
     """
 
     def __init__(
@@ -184,19 +147,14 @@ class CleanupMemory:
         self.max_iters = int(max_iters)
         self.tol = float(tol)
         self.dedup_threshold = float(dedup_threshold)
-        self._k = min(_HEAD_COLS, self.dim)
         self._buf = np.empty((16, dim))
-        self._head32 = np.empty((16, self._k), dtype=np.float32)
-        self._tail32 = np.empty((16, dim - self._k), dtype=np.float32)
-        # Norms of the float64 rows and of their tails, whatever dtype a
-        # caller stored: the screen's bounds need them accurate to float64
-        # rounding.
+        self._buf32 = np.empty((16, dim), dtype=np.float32)
+        # Norms of the float64 rows, whatever dtype a caller stored: the
+        # screen's bounds need them accurate to float64 rounding.
         self._norms = np.empty(16)
-        self._tail_norms = np.empty(16)
         self._margin = _screen_margin(self.dim)
-        self._slack = _bound_slack(self.dim)
         self._m = 0
-        # hash of a row's bytes -> indices of the rows with that hash
+        # hash of a row's first KEY_PREFIX entries' bytes -> indices of the rows with that hash
         self._index: dict[int, list[int]] = {}
 
     # -- storage ------------------------------------------------------------
@@ -214,47 +172,24 @@ class CleanupMemory:
             return
         while cap < needed:
             cap *= 2
-        for name in ("_buf", "_head32", "_tail32", "_norms", "_tail_norms"):
+        for name in ("_buf", "_buf32", "_norms"):
             old = getattr(self, name)
             new = np.empty((cap,) + old.shape[1:], dtype=old.dtype)
             new[: self._m] = old[: self._m]
             setattr(self, name, new)
 
     def _mirror(self, start: int, stop: int) -> None:
-        """Copy rows ``start:stop`` into the float32 screen and record their tail norms."""
+        """Copy rows ``start:stop`` into the float32 screen, record their norms and index their bytes."""
         rows = self._buf[start:stop]
         with np.errstate(over="ignore"):  # rows past float32 range are never screened
-            self._head32[start:stop] = rows[:, : self._k]
-            self._tail32[start:stop] = rows[:, self._k :]
-        self._tail_norms[start:stop] = np.linalg.norm(rows[:, self._k :], axis=1)
+            self._buf32[start:stop] = rows
+        self._norms[start:stop] = np.linalg.norm(rows, axis=1)
+        for i in range(start, stop):
+            self._index.setdefault(_row_key(self._buf[i]), []).append(i)
 
-    def _index_add(self, i: int, key: int | None = None) -> None:
-        """Index row ``i`` under ``key``, which must be its row key if given."""
-        if key is None:
-            key = _row_key(self._buf[i])
-        self._index.setdefault(key, []).append(i)
-
-    def _reindex(self) -> None:
-        self._index = {}
-        for i in range(self._m):
-            self._index_add(i)
-
-    def _stores_exactly(self, t: Vector, tn: float, key: int | None) -> bool:
-        """Whether ``t`` is a stored row that the dedup scan is sure to find.
-
-        ``key`` is the row key of ``t`` if ``t`` is float64, else None.
-        """
-        exact_rows_pass = self.dedup_threshold <= 1.0 - 4 * self.dim * _EPS
-        if not (exact_rows_pass and key is not None and _NORM_MIN < tn < _NORM_MAX):
-            return False
-        return self.find(t, key) is not None
-
-    def find(self, t: Vector, key: int | None = None) -> int | None:
-        """The lowest-index row bitwise equal to the float64 vector ``t``, or None.
-
-        ``key``, if given, must be the row key of ``t``.
-        """
-        for i in self._index.get(_row_key(t) if key is None else key, ()):
+    def find(self, t: Vector) -> int | None:
+        """The lowest-index row bitwise equal to the float64 vector ``t``, or None."""
+        for i in self._index.get(_row_key(t), ()):
             if np.array_equal(self._buf[i], t):
                 return i
         return None
@@ -271,37 +206,11 @@ class CleanupMemory:
 
     def _screened(self, probes: Vector) -> Vector:
         """Float32 activations of every stored row against each probe of a block, as float64."""
-        p32 = probes.astype(np.float32)
-        m, k = self._m, self._k
-        return (self._head32[:m] @ p32[:, :k].T + self._tail32[:m] @ p32[:, k:].T).T.astype(np.float64)
+        return (self._buf32[: self._m] @ probes.astype(np.float32).T).T.astype(np.float64)
 
-    def _is_duplicate(self, t: Vector, tn: float) -> bool:
-        """Whether some stored row's cosine with ``t`` reaches the threshold."""
-        m, k = self._m, self._k
-        if not self._screens(t, tn):
-            return self._scan_duplicate(t, tn)
-        t32 = t.astype(np.float32)
-        head = self._head32[:m] @ t32[:k]
-        denom = self._norms[:m] * tn
-        # Cauchy-Schwarz on the tails: a row whose bound misses the threshold
-        # cannot reach it in the float64 scan, screened or not.
-        tail_bound = self._tail_norms[:m] * (np.linalg.norm(t[k:]) * (1.0 + self._slack))
-        reach = (head + tail_bound) / denom
-        live = np.flatnonzero(reach >= self.dedup_threshold - self._margin - self._slack)
-        if live.size == 0:
-            return False
-        tail = self._tail32[live] @ t32[k:]
-        best = ((head[live] + tail).astype(np.float64) / denom[live]).max()
-        if best >= self.dedup_threshold + self._margin:
-            return True
-        if best < self.dedup_threshold - self._margin:
-            return False
-        # Over every row: a product over the survivors alone can round a cosine
-        # on the threshold to the other side.
-        return self._scan_duplicate(t, tn)
-
-    def _scan_duplicate(self, t: Vector, tn: float) -> bool:
-        """The float64 dedup scan: cosine of ``t`` with every stored row."""
+    def _scan_duplicate(self, t: Vector) -> bool:
+        """The float64 dedup scan: whether the cosine of ``t`` with some stored row reaches the threshold."""
+        tn = np.linalg.norm(t)
         if not tn > 0.0:
             return False
         denom = self._norms[: self._m] * tn
@@ -313,19 +222,9 @@ class CleanupMemory:
         """Append one trace; a near-duplicate of an existing row is a no-op."""
         if t.shape != (self.dim,):
             raise ValueError(f"trace shape {t.shape} does not match dim {self.dim}")
-        # A float64 trace is stored byte for byte, so its key is the new row's.
-        key = _row_key(t) if t.dtype == np.float64 else None
-        if dedup and self._m > 0:
-            tn = np.linalg.norm(t)
-            if self._stores_exactly(t, tn, key) or self._is_duplicate(t, tn):
-                return self
-        self._grow_to(self._m + 1)
-        self._buf[self._m] = t
-        self._mirror(self._m, self._m + 1)
-        self._norms[self._m] = np.linalg.norm(self._buf[self._m])
-        self._index_add(self._m, key)
-        self._m += 1
-        return self
+        if dedup and self._m > 0 and self._scan_duplicate(t):
+            return self
+        return self.extend(t)
 
     def extend(self, rows: Vector) -> "CleanupMemory":
         """Bulk-append rows without deduplication."""
@@ -334,9 +233,6 @@ class CleanupMemory:
         self._grow_to(self._m + k)
         self._buf[self._m : self._m + k] = rows
         self._mirror(self._m, self._m + k)
-        self._norms[self._m : self._m + k] = np.linalg.norm(self._buf[self._m : self._m + k], axis=1)
-        for i in range(self._m, self._m + k):
-            self._index_add(i)
         self._m += k
         return self
 
@@ -469,9 +365,8 @@ class CleanupMemory:
             self._buf[: self._m] -= self.eta * w[:, None] * grad
         else:
             raise ValueError(f"unknown update rule {rule!r}")
+        self._index = {}
         self._mirror(0, self._m)
-        self._norms[: self._m] = np.linalg.norm(self.traces, axis=1)
-        self._reindex()
         return self
 
     # -- serialization --------------------------------------------------------

@@ -4,9 +4,12 @@ A pair is the normalized superposition of its halves bound to the role tags L
 and R, plus the structure marker PHI.  Every vector is in ``hrr.to_coords``
 coordinates, atoms are ``AtomRegistry.coords``, and a ``TagSet`` binds and
 unbinds by elementwise products, so no pair costs an FFT.  Encoding a tree
-stores both halves of each pair in a cleanup memory so they can be recovered
-later by unbind-and-recall.  An evaluation session keeps its pairs in a
-``PairTable`` instead, which holds each pair's key with its two halves.
+stores each distinct half of its pairs once in a cleanup memory, found by its
+exact bytes, so the halves can be recovered later by unbind-and-recall.  A
+cosine screen would merge swap twins such as ((a . b) . (c . d)) and
+((a . c) . (b . d)): binding commutes, so their keys meet at a cosine of
+about 0.9999.  An evaluation session keeps its pairs in a ``PairTable``
+instead, which holds each pair's key with its two halves.
 Reserved tag names start with '#', which the reader cannot produce, so they
 never collide with user atoms; NIL, T and F are deliberately the ordinary
 atoms of those names.
@@ -22,7 +25,7 @@ import numpy as np
 
 from . import hrr
 from .cleanup import CleanupMemory
-from .hrr import AtomRegistry, DimensionMismatch, Thresholds, Vector
+from .hrr import KEY_PREFIX, AtomRegistry, DimensionMismatch, Thresholds, Vector
 from .reader import Atom, Pair, SExpr
 
 __all__ = [
@@ -45,7 +48,6 @@ DONE_NAME = "#DONE"
 GENSYM_PREFIX = "#G"
 
 DECODE_DEPTH_LIMIT = 64
-KEY_PREFIX = 32  # entries of a pair key its bytes index hashes: 256 bytes, not 16 KB at dim 2048
 
 # Tag set field -> the registry name of its reserved vector.
 _RESERVED = {
@@ -245,7 +247,7 @@ class PairTable:
 
 
 def encode(e: SExpr, registry: AtomRegistry, mem: CleanupMemory) -> Vector:
-    """Encode a tree bottom-up in coordinates; every sub-pair's halves end up in memory."""
+    """Encode a tree bottom-up in coordinates; each distinct half of a sub-pair is stored once."""
     return _encode(e, registry, mem, TagSet.from_coords(registry.coords))
 
 
@@ -254,10 +256,10 @@ def _encode(e: SExpr, registry: AtomRegistry, mem: CleanupMemory, tags: TagSet) 
         return registry.coords(e.name)
     left = _encode(e.left, registry, mem, tags)
     right = _encode(e.right, registry, mem, tags)
-    out = cons_vec(left, right, tags)
-    mem.append(left)
-    mem.append(right)
-    return out
+    for half in (left, right):
+        if mem.find(half) is None:
+            mem.append(half, dedup=False)
+    return cons_vec(left, right, tags)
 
 
 DECODE_SHORTLIST = 3

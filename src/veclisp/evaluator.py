@@ -123,7 +123,7 @@ class EvalSession:
         return self.registry.coords(name)
 
     def atom_name(self, v: Vector) -> str:
-        """The name of the atom nearest ``v``: by id for a vector ``coords`` returned, else by a registry scan."""
+        """The name of the atom nearest ``v``: by bytes for a ``coords`` vector or its copy, else by a registry scan."""
         return self.registry.name(v)
 
     def _sim(self, u: Vector, v: Vector) -> float:

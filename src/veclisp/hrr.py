@@ -22,6 +22,8 @@ from numpy.typing import NDArray
 
 Vector = NDArray[np.float64]
 
+KEY_PREFIX = 32  # entries of a vector its bytes indexes hash: 256 bytes, not 16 KB at dim 2048
+
 __all__ = [
     "Vector",
     "Thresholds",
@@ -87,10 +89,10 @@ class AtomRegistry:
         self._entries: dict[str, Vector] = {}
         # hash of an atom's bytes -> the names drawn with that hash, in draw order
         self._by_bytes: dict[int, list[str]] = {}
-        # name -> its atom's coordinates, and the id of those back to the name;
-        # the registry holds every coordinate object, so no other object has its id.
+        # name -> its atom's coordinates, and the hash of their first
+        # KEY_PREFIX entries' bytes -> the names converted with that hash
         self._coords: dict[str, Vector] = {}
-        self._names: dict[int, str] = {}
+        self._names: dict[int, list[str]] = {}
         self._lock = threading.Lock()
         # From the first ``nearest`` scan on: the atoms in draw order, stacked
         # into rows [0, _filled) of ``_table``, and their norms in ``_norms``;
@@ -125,13 +127,16 @@ class AtomRegistry:
             if got is None:
                 got = self._coords[name] = to_coords(v)
                 got.flags.writeable = False
-                self._names[id(got)] = name
+                self._names.setdefault(hash(got[:KEY_PREFIX].tobytes()), []).append(name)
         return got
 
     def name(self, x: Vector) -> str:
-        """The name of the atom nearest coordinates ``x``: by id for an object ``coords`` made, else by a scan."""
-        got = self._names.get(id(x))
-        return got if got is not None else self.nearest(from_coords(x))[0]
+        """The atom nearest coordinates ``x``: by bytes for a ``coords`` vector or its copy, else by a scan."""
+        for name in self._names.get(hash(x[:KEY_PREFIX].tobytes()), ()):
+            held = self._coords[name]
+            if held is x or np.array_equal(held, x):
+                return name
+        return self.nearest(from_coords(x))[0]
 
     def names(self) -> list[str]:
         return list(self._entries)

@@ -3,7 +3,7 @@ update rules, and the binary snapshot format."""
 import numpy as np
 import pytest
 
-from veclisp import cleanup
+from veclisp import hrr
 from veclisp.cleanup import KINDS, CleanupMemory, ConvergenceError, EmptyMemoryError
 
 
@@ -173,15 +173,7 @@ class ScreenCounting(CleanupMemory):
 
     def __init__(self, *args, **kw):
         super().__init__(*args, **kw)
-        self.dedup_checks = self.dedup_scans = self.full_activations = 0
-
-    def _is_duplicate(self, t, tn):
-        self.dedup_checks += 1
-        return super()._is_duplicate(t, tn)
-
-    def _scan_duplicate(self, t, tn):
-        self.dedup_scans += 1
-        return super()._scan_duplicate(t, tn)
+        self.full_activations = 0
 
     def activations(self, p):
         self.full_activations += 1
@@ -191,7 +183,6 @@ class ScreenCounting(CleanupMemory):
         """A new store of ``rows`` that counts on from this store's counts."""
         new = ScreenCounting(self.dim, dedup_threshold=self.dedup_threshold)
         new.extend(rows)
-        new.dedup_checks, new.dedup_scans = self.dedup_checks, self.dedup_scans
         new.full_activations = self.full_activations
         return new
 
@@ -207,115 +198,6 @@ def out_of_range(row, kind):
         row.astype(np.float32),
         2.0**-135 * row,  # subnormal in float32: screened sums err past the bound
     ][kind]
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN and infinite rows
-@pytest.mark.parametrize("threshold", [0.99, 0.5])
-def test_float32_screen_stores_what_the_scan_stores(threshold):
-    rng = np.random.default_rng(23)
-    n = 512
-    mem = ScreenCounting(n, dedup_threshold=threshold)
-    ref = ScanOnlyMemory(n, dedup_threshold=threshold)
-    margin = mem._margin
-    for row in unit_rows(rng, 4, n):
-        mem.append(row)
-        ref.append(row)
-
-    def in_range():
-        norms = np.linalg.norm(mem.traces, axis=1)
-        return np.flatnonzero((norms > 1e-3) & (norms < 1e3))
-
-    def planted():
-        # Cosine threshold +- k * margin with a stored row: k = 2 sits outside
-        # the band left to the float64 scan, k = 0.5 inside it, and k = 1e-5
-        # inside float32's own rounding error.
-        r = mem.traces[rng.choice(in_range())]
-        r = r / np.linalg.norm(r)
-        q = rng.normal(0.0, 1.0, n)
-        q -= (q @ r) * r
-        q /= np.linalg.norm(q)
-        c = threshold + rng.choice([-2.0, -0.5, -1e-5, 1e-5, 0.5, 2.0]) * margin
-        return rng.uniform(0.5, 2.0) * (c * r + np.sqrt(1.0 - c * c) * q)
-
-    for _ in range(500):
-        op = rng.choice(6, p=[0.15, 0.15, 0.4, 0.1, 0.1, 0.1])
-        if op == 5:
-            # Rebuild both stores with every out-of-range row brought back into
-            # range, turning the screen on.
-            rows = mem.traces.copy()
-            norms = np.linalg.norm(rows, axis=1)
-            out = ~((norms > 1e-3) & (norms < 1e3))
-            rows[out] = unit_rows(rng, int(out.sum()), n)
-            mem = mem.rebuilt(rows)
-            ref = ScanOnlyMemory(n, dedup_threshold=threshold)
-            ref.extend(rows)
-        else:
-            dedup = True
-            if op == 0:
-                t = rng.uniform(0.5, 2.0) * unit_rows(rng, 1, n)[0]
-            elif op == 1:
-                t = mem.traces[rng.choice(in_range())].copy()
-            elif op in (2, 3):
-                t = planted()
-            else:
-                base = [unit_rows(rng, 1, n)[0], mem.traces[rng.choice(in_range())]][rng.integers(2)]
-                t = out_of_range(base, rng.integers(6))
-                dedup = bool(rng.integers(2))
-            mem.append(t, dedup=dedup)
-            ref.append(t, dedup=dedup)
-        assert len(mem) == len(ref)
-        assert mem.traces.tobytes() == ref.traces.tobytes()
-    # Both the screen's own decisions and the float64 fall-through ran.
-    assert 0 < mem.dedup_scans < mem.dedup_checks
-
-
-@pytest.mark.parametrize("n", [512, 100])
-@pytest.mark.parametrize("threshold", [0.99, 0.5, 0.0])
-def test_prefix_bound_stores_what_the_scan_stores(threshold, n):
-    rng = np.random.default_rng(29)
-    k = min(cleanup._HEAD_COLS, n)
-    mem = ScreenCounting(n, dedup_threshold=threshold)
-    ref = ScanOnlyMemory(n, dedup_threshold=threshold)
-    margin = mem._margin
-    head = np.arange(n) < k
-
-    def confined(row, where):
-        # Keep only the head or only the tail of a row (all of it when the tail is empty).
-        if where is not None and (head == where).any():
-            row = np.where(head == where, row, 0.0)
-        return row / np.linalg.norm(row)
-
-    def planted():
-        # Cosine threshold +- c * margin with a stored row.  The orthogonal part
-        # lives in the head, in the tail or anywhere: a twin that differs only
-        # in the head has a tail parallel to the row's, where the tail bound is
-        # tight, so only the head's rounding separates it from the threshold.
-        r = mem.traces[rng.integers(len(mem))]
-        r = r / np.linalg.norm(r)
-        q = confined(rng.normal(0.0, 1.0, n), [True, False, None][rng.integers(3)])
-        q -= (q @ r) * r
-        q /= np.linalg.norm(q)
-        c = threshold + rng.choice([-2.0, -0.5, -1e-5, 1e-5, 0.5, 2.0]) * margin
-        return rng.uniform(0.5, 2.0) * (c * r + np.sqrt(1.0 - c * c) * q)
-
-    for _ in range(400):
-        op = rng.choice(4, p=[0.2, 0.2, 0.1, 0.5])
-        if op == 0:
-            t = unit_rows(rng, 1, n)[0]
-        elif op == 1:
-            # All the energy in the head or all in the tail.
-            t = rng.uniform(0.5, 2.0) * confined(rng.normal(0.0, 1.0, n), bool(rng.integers(2)))
-        elif op == 2:
-            t = mem.traces[rng.integers(len(mem))].copy()
-        else:
-            t = planted()
-        mem.append(t)
-        ref.append(t)
-        assert len(mem) == len(ref)
-        assert mem.traces.tobytes() == ref.traces.tobytes()
-    if threshold > 0.0:
-        # Both the screen's own decisions and the float64 fall-through ran.
-        assert 0 < mem.dedup_scans < mem.dedup_checks
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN probe
@@ -380,9 +262,10 @@ def test_find_is_the_nearest_row_of_every_stored_row():
     for i, row in enumerate(mem.traces):
         assert mem.find(row) == mem.nearest(row) == i
         assert mem.find(row.copy()) == i
-        nudged = row.copy()
-        nudged[0] = np.nextafter(nudged[0], np.inf)
-        assert mem.find(nudged) is None
+        for j in (0, n - 1):  # inside and past the hashed prefix
+            nudged = row.copy()
+            nudged[j] = np.nextafter(nudged[j], np.inf)
+            assert mem.find(nudged) is None
     mem.append(mem.traces[3].copy(), dedup=False)  # an exact duplicate: the lower index wins both
     assert mem.find(mem.traces[-1]) == mem.nearest(mem.traces[-1]) == 3
     assert mem.find(np.zeros(n)) is None
@@ -478,15 +361,13 @@ def test_screened_shortlist_is_the_float64_argsort():
 
 
 def mirrored(memory):
-    """The float32 head and tail blocks, the norms and the row index follow the float64 rows."""
-    m, k, rows = len(memory), memory._k, memory.traces
-    assert memory._head32[:m].tobytes() == rows[:, :k].astype(np.float32).tobytes()
-    assert memory._tail32[:m].tobytes() == rows[:, k:].astype(np.float32).tobytes()
-    assert np.array_equal(memory._tail_norms[:m], np.linalg.norm(rows[:, k:], axis=1))
+    """The float32 block, the norms and the row index follow the float64 rows."""
+    m, rows = len(memory), memory.traces
+    assert memory._buf32[:m].tobytes() == rows.astype(np.float32).tobytes()
     assert np.allclose(memory._norms[:m], np.linalg.norm(rows, axis=1), rtol=1e-14, atol=0.0)
     index = {}
     for i, row in enumerate(rows):
-        index.setdefault(hash(row.tobytes()), []).append(i)
+        index.setdefault(hash(row[: hrr.KEY_PREFIX].tobytes()), []).append(i)
     assert {key: sorted(ix) for key, ix in memory._index.items()} == index
 
 
@@ -533,7 +414,7 @@ def test_mirror_follows_updates_and_snapshots():
         mirrored(mem)
     mem.append(mem.traces[5].copy(), dedup=False)  # a second row under one key
     agrees(mem.traces[5], mem)
-    small = CleanupMemory(100)  # the head block is the whole row
+    small = CleanupMemory(100)
     small.extend(unit_rows(rng, 20, 100))
     small.append(unit_rows(rng, 1, 100)[0])
     mirrored(small)

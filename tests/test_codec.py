@@ -193,6 +193,21 @@ def test_decode_round_trip_over_random_trees():
     assert exact == 50
 
 
+@pytest.mark.parametrize(("dim", "seed"), [(2048, 1729), (1024, 0), (512, 3)])
+def test_swap_twins_decode_to_themselves(dim, seed):
+    # Binding commutes, so the cross terms L*R*b + R*L*c of ((a . b) . (c . d))
+    # are those of ((a . c) . (b . d)): the two pairs' keys meet at a cosine
+    # of about 0.9999, and each must still be stored as its own row.
+    reg = AtomRegistry(dim, seed=seed)
+    mem = CleanupMemory(dim)
+    trees = [parse("(((H . H) . (K . J)) . A)"), parse("(((H . K) . (H . J)) . A)")]
+    vecs = [codec.encode(tree, reg, mem) for tree in trees]
+    # H, K, J, A, the four inner pairs and the two twins.
+    assert len(mem) == 10
+    for tree, v in zip(trees, vecs):
+        assert codec.decode(v, mem, reg, THRESH) == tree
+
+
 class CountingMemory(CleanupMemory):
     """A store counting its shortlist calls, the probes they rank and the float64 scans behind them."""
 

@@ -507,6 +507,23 @@ def test_registry_names_held_coords_by_id_and_others_by_nearest_atom():
     assert reg._table is not None
 
 
+def test_registry_names_copies_of_held_coords_by_bytes(monkeypatch):
+    reg = AtomRegistry(256, seed=19)
+    names = ["A", "B", "NIL"]
+    held = [reg.coords(name) for name in names]
+    scans = []
+    nearest = reg.nearest
+    monkeypatch.setattr(reg, "nearest", lambda v: scans.append(v) or nearest(v))
+    for name, x in zip(names, held):
+        assert reg.name(x.copy()) == name
+        assert reg.name(np.stack([held[0], x])[1]) == name  # a row of a stack
+    assert scans == []
+    # A copy changed past the hashed prefix is no atom's bytes: it is scanned.
+    twin = held[0].copy()
+    twin[-1] = np.nextafter(twin[-1], np.inf)
+    assert reg.name(twin) == "A" and len(scans) == 1
+
+
 def test_registry_nearest_follows_new_atoms():
     reg = AtomRegistry(256, seed=15)
     rng = np.random.default_rng(15)

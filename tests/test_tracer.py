@@ -48,6 +48,9 @@ def test_tracer_wraps_the_library_and_summarizes_a_decode_and_a_run():
         # time-domain bind is still a traced entry point.
         a, b = registry.vector("A"), registry.vector("B")
         assert np.array_equal(api.hrr.bind(a, b), hrr.bind(b, a))
+        # Decode names its leaves by bytes; the registry's scan is still a
+        # traced entry point.
+        assert registry.nearest(a + b)[0] in ("A", "B")
     assert (codec.decode, hrr.bind, cleanup.CleanupMemory.activations, evaluator.EvalSession.car) == originals
 
     counts, times = tracer.summarize(np)
