@@ -25,6 +25,8 @@ CAPACITY_PROBES = 64
 KANERVA_LISTS = 50
 UPDATE_GAMMAS = (0.0, 1.0, 10.0, 100.0, 1000.0)
 UPDATE_ROWS = 64
+UPDATE_ALPHA = 1.0
+UPDATE_ETA = 0.1
 
 
 def _header(kind: str, config: SessionConfig, extra: dict[str, object]) -> list[str]:
@@ -36,8 +38,6 @@ def _header(kind: str, config: SessionConfig, extra: dict[str, object]) -> list[
         "theta_down": config.theta_down,
         "memory_kind": config.memory_kind,
         "beta": config.beta,
-        "alpha": config.alpha,
-        "eta": config.eta,
         "rho": config.rho,
         "max_iters": config.max_iters,
         "tol": config.tol,
@@ -73,8 +73,6 @@ def run_capacity(
                 kind,
                 beta=config.beta,
                 rho=config.rho,
-                alpha=config.alpha,
-                eta=config.eta,
                 max_iters=config.max_iters,
                 tol=config.tol,
             )
@@ -156,7 +154,9 @@ def run_update_rules(
     grad = base - target[None, :]
 
     lines = _header(
-        "update_rules", config, {"rows": rows, "gammas": ",".join(f"{g:g}" for g in gammas)}
+        "update_rules",
+        config,
+        {"alpha": UPDATE_ALPHA, "eta": UPDATE_ETA, "rows": rows, "gammas": ",".join(f"{g:g}" for g in gammas)},
     )
     lines.append("rule\tgamma\ttarget_delta\tothers_delta\trecall_sim_target")
 
@@ -167,8 +167,8 @@ def run_update_rules(
             "lookup",
             beta=config.beta,
             rho=config.rho,
-            alpha=config.alpha,
-            eta=config.eta,
+            alpha=UPDATE_ALPHA,
+            eta=UPDATE_ETA,
             **({} if gamma is None else {"gamma": gamma}),
         )
         mem.extend(base.copy())

@@ -5,8 +5,8 @@ of their activations against the probe, then sum.  ``lookup`` is the hardmax
 special case, ``mhn`` the softmax one, ``minerva2`` an odd-power weighting,
 ``hopfield`` iterates the hardmax step to a fixed point, and ``grossberg``
 adds the probe back in and squashes.  A store finds a row by its exact bytes
-without a scan, deduplicates appends by a float64 cosine scan, and screens
-shortlists through a float32 copy of its rows.
+without a scan, stores an appended trace only when no row has those bytes,
+and screens shortlists through a float32 copy of its rows.
 """
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from typing import Literal
 
 import numpy as np
 
-from .hrr import KEY_PREFIX, Vector, _dots
+from .hrr import Vector, _dots, bytes_key
 
 __all__ = [
     "KINDS",
@@ -26,8 +26,8 @@ __all__ = [
 
 KINDS = ("lookup", "mhn", "minerva2", "hopfield", "grossberg")
 
-_MAGIC = b"VCM2"
-_HEADER = struct.Struct("<4sBBQQ7dQ")
+_MAGIC = b"VCM3"
+_HEADER = struct.Struct("<4sBBQQ6dQ")
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -69,10 +69,6 @@ def _softmax(z: Vector) -> Vector:
     return w / w.sum()
 
 
-def _row_key(row: Vector) -> int:
-    return hash(row[:KEY_PREFIX].tobytes())
-
-
 def _proven_top(acts: Vector, err: Vector, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each probe's top ``k`` screened rows, highest first, and whether the bounds prove them.
 
@@ -94,14 +90,12 @@ def _proven_top(acts: Vector, err: Vector, k: int) -> tuple[np.ndarray, np.ndarr
 class CleanupMemory:
     """Ordered store of n-dimensional traces with kind-dispatched recall.
 
-    Rows are kept in insertion order.  ``append`` deduplicates: a trace whose
-    cosine with some stored row is at least ``dedup_threshold`` is not stored
-    again, so repeated stores do not grow the matrix.  The cosines come from
-    one float64 scan over every row.  A trace of zero norm (or a NaN norm) is
-    never deduplicated, and a row whose score is NaN never matches.
-    Snapshots keep the threshold along with the other parameters, which are
-    carried inertly when the kind does not use them.  ``find`` looks a row up
-    by its exact bytes through an index of row hashes, without a scan.
+    Rows are kept in insertion order.  ``find`` looks a row up by its exact
+    bytes through an index of row hashes, without a scan, and ``append``
+    stores a trace only when ``find`` finds no row with its bytes, so
+    repeated stores do not grow the matrix; ``extend`` stores rows exactly as
+    given.  Snapshots keep every parameter, carried inertly when the kind
+    does not use it.
 
     ``shortlist`` is screened through a float32 copy of the rows, which costs
     4 bytes per stored coordinate on top of the 8 of the float64 rows.  A
@@ -131,7 +125,6 @@ class CleanupMemory:
         eta: float = 0.1,
         max_iters: int = 100,
         tol: float = 1e-6,
-        dedup_threshold: float = 0.99,
     ) -> None:
         if kind not in KINDS:
             raise ValueError(f"unknown memory kind {kind!r}")
@@ -146,7 +139,6 @@ class CleanupMemory:
         self.eta = float(eta)
         self.max_iters = int(max_iters)
         self.tol = float(tol)
-        self.dedup_threshold = float(dedup_threshold)
         self._buf = np.empty((16, dim))
         self._buf32 = np.empty((16, dim), dtype=np.float32)
         # Norms of the float64 rows, whatever dtype a caller stored: the
@@ -154,7 +146,7 @@ class CleanupMemory:
         self._norms = np.empty(16)
         self._margin = _screen_margin(self.dim)
         self._m = 0
-        # hash of a row's first KEY_PREFIX entries' bytes -> indices of the rows with that hash
+        # hrr.bytes_key of a row -> indices of the rows with that key
         self._index: dict[int, list[int]] = {}
 
     # -- storage ------------------------------------------------------------
@@ -185,11 +177,11 @@ class CleanupMemory:
             self._buf32[start:stop] = rows
         self._norms[start:stop] = np.linalg.norm(rows, axis=1)
         for i in range(start, stop):
-            self._index.setdefault(_row_key(self._buf[i]), []).append(i)
+            self._index.setdefault(bytes_key(self._buf[i]), []).append(i)
 
     def find(self, t: Vector) -> int | None:
         """The lowest-index row bitwise equal to the float64 vector ``t``, or None."""
-        for i in self._index.get(_row_key(t), ()):
+        for i in self._index.get(bytes_key(t), ()):
             if np.array_equal(self._buf[i], t):
                 return i
         return None
@@ -208,26 +200,16 @@ class CleanupMemory:
         """Float32 activations of every stored row against each probe of a block, as float64."""
         return (self._buf32[: self._m] @ probes.astype(np.float32).T).T.astype(np.float64)
 
-    def _scan_duplicate(self, t: Vector) -> bool:
-        """The float64 dedup scan: whether the cosine of ``t`` with some stored row reaches the threshold."""
-        tn = np.linalg.norm(t)
-        if not tn > 0.0:
-            return False
-        denom = self._norms[: self._m] * tn
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.where(denom > 0.0, (self.traces @ t) / denom, 0.0)
-        return bool((sims >= self.dedup_threshold).any())
-
-    def append(self, t: Vector, *, dedup: bool = True) -> "CleanupMemory":
-        """Append one trace; a near-duplicate of an existing row is a no-op."""
+    def append(self, t: Vector) -> "CleanupMemory":
+        """Append one trace, unless some row already has its exact bytes."""
         if t.shape != (self.dim,):
             raise ValueError(f"trace shape {t.shape} does not match dim {self.dim}")
-        if dedup and self._m > 0 and self._scan_duplicate(t):
-            return self
-        return self.extend(t)
+        if self.find(t) is None:
+            self.extend(t)
+        return self
 
     def extend(self, rows: Vector) -> "CleanupMemory":
-        """Bulk-append rows without deduplication."""
+        """Bulk-append rows exactly as given, copies of stored rows included."""
         rows = np.atleast_2d(rows)
         k = rows.shape[0]
         self._grow_to(self._m + k)
@@ -386,7 +368,6 @@ class CleanupMemory:
             self.alpha,
             self.eta,
             self.tol,
-            self.dedup_threshold,
             self.max_iters,
         )
         body = np.ascontiguousarray(self.traces, dtype="<f8").tobytes()
@@ -396,8 +377,7 @@ class CleanupMemory:
     def from_bytes(cls, blob: bytes) -> "CleanupMemory":
         if len(blob) < _HEADER.size:
             raise ValueError("truncated cleanup memory snapshot")
-        (magic, kind_i, rho_is_int, m, dim, beta, rho, gamma, alpha, eta, tol, dedup_threshold,
-         max_iters) = _HEADER.unpack_from(blob)
+        magic, kind_i, rho_is_int, m, dim, beta, rho, gamma, alpha, eta, tol, max_iters = _HEADER.unpack_from(blob)
         if magic != _MAGIC:
             raise ValueError("bad cleanup memory magic")
         if kind_i >= len(KINDS):
@@ -415,7 +395,6 @@ class CleanupMemory:
             eta=eta,
             max_iters=int(max_iters),
             tol=tol,
-            dedup_threshold=dedup_threshold,
         )
         rows = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(int(m), int(dim))
         if m:

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable, TextIO
 
 from . import bench, codec, oracle, reader
@@ -19,7 +18,7 @@ from .evaluator import EvalError, EvalSession, SessionConfig
 from .hrr import DegenerateVector, DimensionMismatch
 from .reader import Atom, Pair, ParseError, SExpr
 
-__all__ = ["RunConfig", "main"]
+__all__ = ["main"]
 
 ENV_PREFIX = "VECLISP_"
 
@@ -35,16 +34,6 @@ USER_ERRORS = (
     ValueError,
     OSError,
 )
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one invocation needs: session parameters plus mode switches."""
-
-    session: SessionConfig
-    mode: str
-    oracle_check: bool = False
-    trace: bool = False
 
 
 def _env_raw(name: str) -> str | None:
@@ -73,6 +62,12 @@ def _env_bool(name: str, default: bool) -> bool:
     raise ValueError(f"bad value {raw!r} for {ENV_PREFIX}{name}")
 
 
+def _memory_kind(text: str) -> str:
+    if text not in KINDS:
+        raise ValueError(f"unknown memory kind {text!r}")
+    return text
+
+
 def _parse_rho(text: str) -> int | float:
     """"3" stays an integer (exact odd-power path), "3.0" goes real."""
     try:
@@ -98,11 +93,9 @@ def _build_parser() -> _Parser:
     g.add_argument("--theta-up", type=float, default=_env("THETA_UP", 0.8, float))
     g.add_argument("--theta-down", type=float, default=_env("THETA_DOWN", 0.2, float))
     g.add_argument(
-        "--memory", choices=KINDS, default=_env("MEMORY", "lookup", str), help="cleanup memory kind"
+        "--memory", choices=KINDS, default=_env("MEMORY", "lookup", _memory_kind), help="cleanup memory kind"
     )
     g.add_argument("--beta", type=float, default=_env("BETA", 1000.0, float))
-    g.add_argument("--alpha", type=float, default=_env("ALPHA", 1.0, float))
-    g.add_argument("--eta", type=float, default=_env("ETA", 0.1, float))
     g.add_argument("--rho", type=_parse_rho, default=_env("RHO", 3, _parse_rho))
     g.add_argument("--max-iters", type=int, default=100)
     g.add_argument("--tol", type=float, default=1e-6)
@@ -139,32 +132,24 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    session = SessionConfig(
+def _session_config(args: argparse.Namespace) -> SessionConfig:
+    return SessionConfig(
         dim=args.dim,
         seed=args.seed,
         theta_up=args.theta_up,
         theta_down=args.theta_down,
         memory_kind=args.memory,
         beta=args.beta,
-        alpha=args.alpha,
-        eta=args.eta,
         rho=args.rho,
         max_iters=args.max_iters,
         tol=args.tol,
         step_limit=args.step_limit,
     )
-    return RunConfig(
-        session=session,
-        mode=args.mode,
-        oracle_check=getattr(args, "oracle_check", False),
-        trace=args.trace,
-    )
 
 
-def _new_session(config: RunConfig) -> EvalSession:
-    session = EvalSession(config.session)
-    if config.trace:
+def _new_session(args: argparse.Namespace) -> EvalSession:
+    session = EvalSession(_session_config(args))
+    if args.trace:
         session.trace_sink = lambda line: print(line, file=sys.stderr)
     return session
 
@@ -257,9 +242,8 @@ def _pending(text: str) -> bool:
 
 
 def _cmd_repl(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    session = _new_session(config)
-    env = oracle.OracleEnv(step_limit=config.session.step_limit) if config.oracle_check else None
+    session = _new_session(args)
+    env = oracle.OracleEnv(step_limit=args.step_limit) if args.oracle_check else None
     interactive = sys.stdin.isatty()
     mismatched = False
     buffer = ""
@@ -301,15 +285,14 @@ def _cmd_repl(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _run_config(args)
     if args.path == "-":
         source = sys.stdin.read()
     else:
         with open(args.path, "r", encoding="utf-8") as fh:
             source = fh.read()
     exprs = reader.parse_many(source)
-    session = _new_session(config)
-    env = oracle.OracleEnv(step_limit=config.session.step_limit) if config.oracle_check else None
+    session = _new_session(args)
+    env = oracle.OracleEnv(step_limit=args.step_limit) if args.oracle_check else None
     mismatched = False
     for expr in exprs:
         lines, bad, vec_error = _eval_checked(session, env, expr)
@@ -323,8 +306,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
-    config = _run_config(args)
-    report = bench.run_bench(args.kind, config.session)
+    report = bench.run_bench(args.kind, _session_config(args))
     if args.out is None:
         sys.stdout.write(report)
     else:

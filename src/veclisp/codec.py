@@ -4,12 +4,12 @@ A pair is the normalized superposition of its halves bound to the role tags L
 and R, plus the structure marker PHI.  Every vector is in ``hrr.to_coords``
 coordinates, atoms are ``AtomRegistry.coords``, and a ``TagSet`` binds and
 unbinds by elementwise products, so no pair costs an FFT.  Encoding a tree
-stores each distinct half of its pairs once in a cleanup memory, found by its
-exact bytes, so the halves can be recovered later by unbind-and-recall.  A
-cosine screen would merge swap twins such as ((a . b) . (c . d)) and
-((a . c) . (b . d)): binding commutes, so their keys meet at a cosine of
-about 0.9999.  An evaluation session keeps its pairs in a ``PairTable``
-instead, which holds each pair's key with its two halves.
+appends the halves of its pairs to a cleanup memory, whose ``append`` stores
+each distinct half once by its exact bytes, so the halves can be recovered
+later by unbind-and-recall.  A cosine screen would merge swap twins such as
+((a . b) . (c . d)) and ((a . c) . (b . d)): binding commutes, so their keys
+meet at a cosine of about 0.9999.  An evaluation session keeps its pairs in a
+``PairTable`` instead, which holds each pair's key with its two halves.
 Reserved tag names start with '#', which the reader cannot produce, so they
 never collide with user atoms; NIL, T and F are deliberately the ordinary
 atoms of those names.
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import hrr
 from .cleanup import CleanupMemory
-from .hrr import KEY_PREFIX, AtomRegistry, DimensionMismatch, Thresholds, Vector
+from .hrr import AtomRegistry, DimensionMismatch, Thresholds, Vector
 from .reader import Atom, Pair, SExpr
 
 __all__ = [
@@ -150,8 +150,8 @@ class PairTable:
     stored, so an id found in the table's id maps names the same bytes for
     as long as the table lives: one from the id of a key to its row, one from
     the ids of a left and a right half to the row first built from exactly
-    those objects.  A third map, from the hash of a key's first ``KEY_PREFIX``
-    entries to its rows, finds bitwise copies without a scan.  The keys are stacked into a
+    those objects.  A third map, from a key's ``hrr.bytes_key`` to its rows,
+    finds bitwise copies without a scan.  The keys are stacked into a
     float64 matrix only when a probe is first ranked against them.
     """
 
@@ -186,7 +186,7 @@ class PairTable:
 
     def intern(self, key: Vector, left: Vector, right: Vector) -> int:
         """The row of the key bitwise equal to ``key``, storing it with these halves if new."""
-        digest = hash(key[:KEY_PREFIX].tobytes())
+        digest = hrr.bytes_key(key)
         row = self._find(key, digest)
         if row is None:
             row = len(self.keys)
@@ -220,7 +220,7 @@ class PairTable:
 
     def find(self, t: Vector) -> int | None:
         """The lowest row whose key is bitwise equal to ``t``, or None."""
-        return self._find(t, hash(t[:KEY_PREFIX].tobytes()))
+        return self._find(t, hrr.bytes_key(t))
 
     def _find(self, t: Vector, digest: int) -> int | None:
         for i in self._by_bytes.get(digest, ()):
@@ -256,9 +256,8 @@ def _encode(e: SExpr, registry: AtomRegistry, mem: CleanupMemory, tags: TagSet) 
         return registry.coords(e.name)
     left = _encode(e.left, registry, mem, tags)
     right = _encode(e.right, registry, mem, tags)
-    for half in (left, right):
-        if mem.find(half) is None:
-            mem.append(half, dedup=False)
+    mem.append(left)
+    mem.append(right)
     return cons_vec(left, right, tags)
 
 

@@ -66,8 +66,6 @@ class SessionConfig:
     theta_down: float = 0.2
     memory_kind: str = "lookup"
     beta: float = 1000.0
-    alpha: float = 1.0
-    eta: float = 0.1
     rho: int | float = 3
     max_iters: int = 100
     tol: float = 1e-6
@@ -87,8 +85,6 @@ class EvalSession:
             c.dim,
             c.memory_kind,
             beta=c.beta,
-            alpha=c.alpha,
-            eta=c.eta,
             rho=c.rho,
             max_iters=c.max_iters,
             tol=c.tol,

@@ -31,6 +31,7 @@ __all__ = [
     "Permutation",
     "DimensionMismatch",
     "DegenerateVector",
+    "bytes_key",
     "bind",
     "to_coords",
     "from_coords",
@@ -67,6 +68,15 @@ class Thresholds:
             raise ValueError("theta_down must be strictly below theta_up")
 
 
+def bytes_key(v: Vector) -> int:
+    """The bytes-index key of ``v``: the hash of its first ``KEY_PREFIX`` entries' bytes.
+
+    Equal keys do not prove equal vectors, so every index confirms a candidate
+    in full.
+    """
+    return hash(v[:KEY_PREFIX].tobytes())
+
+
 def _seed_material(seed: int, dim: int, name: str) -> int:
     digest = hashlib.blake2b(f"{seed}|{dim}|{name}".encode(), digest_size=16).digest()
     return int.from_bytes(digest, "little")
@@ -87,10 +97,10 @@ class AtomRegistry:
         self.dim = int(dim)
         self.seed = int(seed)
         self._entries: dict[str, Vector] = {}
-        # hash of an atom's bytes -> the names drawn with that hash, in draw order
+        # bytes_key of an atom -> the names drawn with that key, in draw order
         self._by_bytes: dict[int, list[str]] = {}
-        # name -> its atom's coordinates, and the hash of their first
-        # KEY_PREFIX entries' bytes -> the names converted with that hash
+        # name -> its atom's coordinates, and their bytes_key -> the names
+        # converted with that key
         self._coords: dict[str, Vector] = {}
         self._names: dict[int, list[str]] = {}
         self._lock = threading.Lock()
@@ -113,7 +123,7 @@ class AtomRegistry:
                 got = rng.normal(0.0, 1.0 / np.sqrt(self.dim), self.dim)
                 got.flags.writeable = False
                 self._entries[name] = got
-                self._by_bytes.setdefault(hash(got.tobytes()), []).append(name)
+                self._by_bytes.setdefault(bytes_key(got), []).append(name)
         return got
 
     def coords(self, name: str) -> Vector:
@@ -127,12 +137,12 @@ class AtomRegistry:
             if got is None:
                 got = self._coords[name] = to_coords(v)
                 got.flags.writeable = False
-                self._names.setdefault(hash(got[:KEY_PREFIX].tobytes()), []).append(name)
+                self._names.setdefault(bytes_key(got), []).append(name)
         return got
 
     def name(self, x: Vector) -> str:
         """The atom nearest coordinates ``x``: by bytes for a ``coords`` vector or its copy, else by a scan."""
-        for name in self._names.get(hash(x[:KEY_PREFIX].tobytes()), ()):
+        for name in self._names.get(bytes_key(x), ()):
             held = self._coords[name]
             if held is x or np.array_equal(held, x):
                 return name
@@ -170,7 +180,7 @@ class AtomRegistry:
         """
         if not self._entries:
             raise KeyError("empty atom registry")
-        for name in self._by_bytes.get(hash(v.tobytes()), ()):
+        for name in self._by_bytes.get(bytes_key(v), ()):
             if np.array_equal(self._entries[name], v):
                 return name, 1.0
         names, matrix, atom_norms = self._snapshot()

@@ -19,6 +19,9 @@ def test_every_report_starts_with_the_config_block():
         assert lines[0] == "# veclisp bench report"
         assert lines[1] == f"# bench={kind}"
         assert "# dim=256" in lines and "# seed=13" in lines
+        # Only update_rules writes, with its fixed step constants.
+        assert ("# alpha=1.0" in lines and "# eta=0.1" in lines) == (kind == "update_rules")
+        assert any(ln.startswith("# alpha=") for ln in lines) == (kind == "update_rules")
 
 
 def test_reports_repeat_byte_for_byte():

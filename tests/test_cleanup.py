@@ -33,14 +33,18 @@ def test_append_grows_and_dedups():
     rng = np.random.default_rng(0)
     mem = CleanupMemory(64)
     a, b = unit_rows(rng, 2, 64)
-    mem.append(a).append(b)
+    assert mem.append(a).append(b) is mem
     assert len(mem) == 2
-    mem.append(a)
+    mem.append(a.copy())  # a bitwise copy is stored once
     assert len(mem) == 2
-    mem.append(a + rng.normal(0.0, 1e-4, 64))
-    assert len(mem) == 2
-    mem.append(a, dedup=False)
-    assert len(mem) == 3
+    tail = a.copy()
+    tail[-1] = np.nextafter(tail[-1], np.inf)  # past the hashed prefix
+    mem.append(tail)
+    assert len(mem) == 3 and mem.find(tail) == 2
+    twin = a + rng.normal(0.0, 1e-4, 64)  # a cosine of about 1 - 3e-7 with a
+    mem.append(twin)
+    assert len(mem) == 4 and mem.find(twin) == 3
+    assert mem.find(a) == 0
 
 
 def test_append_rejects_wrong_shape():
@@ -53,7 +57,7 @@ def test_growth_past_initial_capacity_preserves_rows():
     rows = unit_rows(rng, 40, 32)
     mem = CleanupMemory(32)
     for r in rows:
-        mem.append(r, dedup=False)
+        mem.append(r)
     assert len(mem) == 40
     assert np.array_equal(mem.traces, rows)
 
@@ -72,102 +76,6 @@ def test_extend_bulk_skips_dedup_by_default():
     assert len(mem2) == 5
 
 
-class ScanOnlyMemory(CleanupMemory):
-    """Reference store: the dedup rule as a plain cosine scan over every row."""
-
-    def append(self, t, *, dedup=True):
-        m = len(self)
-        if dedup and m:
-            tn = np.linalg.norm(t)
-            if tn > 0.0:
-                denom = self._norms[:m] * tn
-                with np.errstate(invalid="ignore", divide="ignore"):
-                    sims = np.where(denom > 0.0, (self.traces @ t) / denom, 0.0)
-                if (sims >= self.dedup_threshold).any():
-                    return self
-        return super().append(t, dedup=False)
-
-
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the NaN and infinite rows
-@pytest.mark.parametrize("threshold", [0.99, 0.5, np.nextafter(1.0, 0.0), 1.0])
-def test_exact_row_index_stores_what_the_scan_stores(threshold):
-    rng = np.random.default_rng(22)
-    n = 32
-    mem = CleanupMemory(n, dedup_threshold=threshold)
-    ref = ScanOnlyMemory(n, dedup_threshold=threshold)
-    seen = [unit_rows(rng, 1, n)[0]]
-    mem.append(seen[0])
-    ref.append(seen[0])
-
-    def stored_row():
-        return mem.traces[rng.integers(len(mem))].copy()
-
-    def near_twin():
-        row = stored_row()
-        if not 1e-3 < np.linalg.norm(row) < 1e3:  # a zero, NaN, infinite or tiny row
-            row = seen[0]
-        twin = row + rng.normal(0.0, 0.01 * np.linalg.norm(row) / np.sqrt(n), n)
-        assert twin @ row / (np.linalg.norm(twin) * np.linalg.norm(row)) >= 0.99
-        return twin
-
-    traces = [
-        lambda: unit_rows(rng, 1, n)[0],
-        lambda: seen[rng.integers(len(seen))].copy(),
-        lambda: seen[rng.integers(len(seen))].copy(),
-        stored_row,
-        near_twin,
-        lambda: np.zeros(n),
-        lambda: np.full(n, np.nan),
-        lambda: 1e-160 * seen[-1],  # its squared norm underflows
-        lambda: np.where(rng.random(n) < 0.5, seen[-1], 0.0),
-    ]
-    for step in range(600):
-        op = rng.integers(len(traces) + 3)
-        if step == 550:
-            # An infinite row scores NaN in every later scan; that must not
-            # stop deduplication for good.
-            mem.append(np.full(n, np.inf), dedup=False)
-            ref.append(np.full(n, np.inf), dedup=False)
-            finite = [i for i in range(len(mem)) if 1e-3 < np.linalg.norm(mem.traces[i]) < 1e3]
-            t = mem.traces[finite[-1]].copy()
-            before = len(mem)
-            mem.append(t)
-            ref.append(t)
-            if threshold <= 0.99:  # nearer 1, rounding can keep an exact repeat out
-                assert len(mem) == before
-            t = None
-        elif op < len(traces):
-            t = traces[op]()
-        elif op == len(traces):
-            grad = rng.normal(0.0, 0.01, (len(mem), n))
-            rule = ["RG", "RC"][rng.integers(2)]
-            mem.apply_update(seen[-1], grad, rule)
-            ref.apply_update(seen[-1], grad, rule)
-            t = None
-        elif op == len(traces) + 1:
-            rows = np.stack([stored_row(), unit_rows(rng, 1, n)[0], seen[-1]])
-            if rng.integers(2):
-                for r in rows:
-                    mem.append(r)
-                    ref.append(r)
-            else:
-                mem.extend(rows)
-                ref.extend(rows)
-            t = None
-        else:
-            mem = CleanupMemory.from_bytes(mem.to_bytes())
-            ref = ScanOnlyMemory.from_bytes(ref.to_bytes())
-            t = None
-        if t is not None:
-            dedup = bool(rng.integers(8))
-            mem.append(t, dedup=dedup)
-            ref.append(t, dedup=dedup)
-            seen.append(t)
-        assert len(mem) == len(ref)
-        assert mem.traces.tobytes() == ref.traces.tobytes()
-    assert mem.dedup_threshold == threshold
-
-
 class ScreenCounting(CleanupMemory):
     """The store under test, counting the scans its float32 screen leaves to float64."""
 
@@ -181,7 +89,7 @@ class ScreenCounting(CleanupMemory):
 
     def rebuilt(self, rows):
         """A new store of ``rows`` that counts on from this store's counts."""
-        new = ScreenCounting(self.dim, dedup_threshold=self.dedup_threshold)
+        new = ScreenCounting(self.dim)
         new.extend(rows)
         new.full_activations = self.full_activations
         return new
@@ -207,15 +115,15 @@ def test_screened_recall_returns_the_float64_argmax_row():
     mem = CleanupMemory(n)
     rows = unit_rows(rng, 80, n)
     mem.extend(rows)
-    mem.append(rows[7], dedup=False)  # an exact duplicate of row 7
-    mem.append(rows[11] + rng.normal(0.0, 1e-9, n), dedup=False)  # a near twin of row 11
+    mem.extend(rows[7])  # an exact duplicate of row 7
+    mem.append(rows[11] + rng.normal(0.0, 1e-9, n))  # a near twin of row 11
     # Sign rows that tie exactly with a probe that is zero where they differ;
     # entries of +-1/16 keep every partial sum exact in any order.
     signs = np.where(rng.random(n) < 0.5, -1.0, 1.0) / 16.0
     flipped = signs.copy()
     flipped[0] = -flipped[0]
-    mem.append(flipped, dedup=False)
-    mem.append(signs, dedup=False)
+    mem.append(flipped)
+    mem.append(signs)
     tie_probe = signs.copy()
     tie_probe[0] = 0.0
 
@@ -248,7 +156,7 @@ def test_screened_recall_returns_the_float64_argmax_row():
     assert np.array_equal(mem.recall_lookup(tie_probe), flipped)  # the lower index wins
     check([out_of_range(rows[3], k) for k in range(7)])
     # An out-of-range row among the stored ones.
-    mem.append(1e20 * rows[5], dedup=False)
+    mem.append(1e20 * rows[5])
     check(clear[:5] + ties)
 
 
@@ -266,7 +174,7 @@ def test_find_is_the_nearest_row_of_every_stored_row():
             nudged = row.copy()
             nudged[j] = np.nextafter(nudged[j], np.inf)
             assert mem.find(nudged) is None
-    mem.append(mem.traces[3].copy(), dedup=False)  # an exact duplicate: the lower index wins both
+    mem.extend(mem.traces[3].copy())  # an exact duplicate: the lower index wins both
     assert mem.find(mem.traces[-1]) == mem.nearest(mem.traces[-1]) == 3
     assert mem.find(np.zeros(n)) is None
 
@@ -323,13 +231,13 @@ def test_screened_shortlist_is_the_float64_argsort():
     p = unit_rows(rng, 1, n)[0]
     top = planted(p, (100.0,))
     mem = planting([0, 1], top)
-    mem.append(top[0], dedup=False)
+    mem.extend(top[0])
     check(p)
     signs = np.where(rng.random(n) < 0.5, -1.0, 1.0) / 16.0
     flipped = signs.copy()
     flipped[0] = -flipped[0]
-    mem.append(flipped, dedup=False)
-    mem.append(signs, dedup=False)
+    mem.append(flipped)
+    mem.append(signs)
     tie_probe = signs.copy()
     tie_probe[0] = 0.0
     check(tie_probe)
@@ -412,7 +320,7 @@ def test_mirror_follows_updates_and_snapshots():
     for i, row in enumerate(unit_rows(rng, 70, n)):
         mem.append(row.astype(np.float32) if i % 3 == 0 else row)
         mirrored(mem)
-    mem.append(mem.traces[5].copy(), dedup=False)  # a second row under one key
+    mem.extend(mem.traces[5].copy())  # a second row under one key
     agrees(mem.traces[5], mem)
     small = CleanupMemory(100)
     small.extend(unit_rows(rng, 20, 100))
@@ -591,11 +499,10 @@ def test_update_validates_grad_shape_and_rule():
 def test_snapshot_round_trip_is_bit_exact():
     rng = np.random.default_rng(19)
     mem = filled(rng, m=9, n=48, kind="minerva2", beta=7.5, rho=5, gamma=2.0,
-                 alpha=0.5, eta=0.01, max_iters=33, tol=1e-8, dedup_threshold=0.95)
+                 alpha=0.5, eta=0.01, max_iters=33, tol=1e-8)
     back = CleanupMemory.from_bytes(mem.to_bytes())
     assert back.kind == "minerva2"
     assert (back.beta, back.gamma, back.alpha, back.eta) == (7.5, 2.0, 0.5, 0.01)
-    assert back.dedup_threshold == 0.95
     assert back.rho == 5 and isinstance(back.rho, int)
     assert back.max_iters == 33 and back.tol == 1e-8
     assert np.array_equal(back.traces, mem.traces)
@@ -621,6 +528,8 @@ def test_snapshot_rejects_corruption():
         CleanupMemory.from_bytes(blob[:-8])
     with pytest.raises(ValueError):
         CleanupMemory.from_bytes(b"XXXX" + blob[4:])
+    with pytest.raises(ValueError, match="magic"):
+        CleanupMemory.from_bytes(b"VCM2" + blob[4:])  # the layout that carried a dedup threshold
     with pytest.raises(ValueError):
         CleanupMemory.from_bytes(blob[:4] + bytes([len(KINDS)]) + blob[5:])
 

@@ -210,10 +210,13 @@ def test_environment_supplies_defaults_and_flags_win(capsys, monkeypatch):
 
 
 def test_unreadable_environment_value_is_a_user_error(capsys, monkeypatch):
-    monkeypatch.setenv("VECLISP_DIM", "potato")
-    code, out, err = call(["bench", "update_rules"], capsys)
-    assert code == 1
-    assert "VECLISP_DIM" in err
+    # argparse checks ``choices`` against flags only, so the memory kind is checked as it is read.
+    for name, raw in (("DIM", "potato"), ("MEMORY", "bogus")):
+        monkeypatch.setenv(f"VECLISP_{name}", raw)
+        code, out, err = call(["bench", "update_rules"], capsys)
+        assert code == 1 and out == ""
+        assert f"bad value '{raw}' for VECLISP_{name}" in err
+        monkeypatch.delenv(f"VECLISP_{name}")
 
 
 def test_boolean_environment_toggle_and_negating_flag(capsys, monkeypatch):
@@ -225,9 +228,11 @@ def test_boolean_environment_toggle_and_negating_flag(capsys, monkeypatch):
     assert code == 0 and "head=QUOTE" not in err
 
 
-def test_bad_usage_exits_with_one(capsys):
+def test_bad_usage_exits_with_one(capsys, monkeypatch):
     assert call(["bench", "nonsense"], capsys)[0] == 1
     assert call([], capsys)[0] == 1
+    for flag in ("--alpha", "--eta"):  # deleted session flags
+        assert call(["run", "-", "--dim", "128", flag, "1"], capsys, monkeypatch, stdin="(QUOTE A)\n")[0] == 1
 
 
 def test_internal_failures_exit_with_two(capsys, monkeypatch):

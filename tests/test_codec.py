@@ -46,7 +46,7 @@ def table_of(keys):
     table, mem = codec.PairTable(DIM), CleanupMemory(DIM, "lookup")
     for k in keys:
         table.intern(k, k, k)
-        mem.append(k, dedup=False)
+        mem.extend(k)
     return table, mem
 
 
@@ -69,7 +69,7 @@ def test_pair_table_finds_the_lowest_row_of_a_bitwise_copy():
     # The bytes index hashes a key's first KEY_PREFIX entries; keys that share
     # them are still told apart in full.
     twin = keys[2].copy()
-    twin[codec.KEY_PREFIX :] = keys[4][codec.KEY_PREFIX :]
+    twin[hrr.KEY_PREFIX :] = keys[4][hrr.KEY_PREFIX :]
     assert table.find(twin) is None and table.intern(twin, twin, twin) == 5
     assert table.find(keys[2].copy()) == 2 and table.find(twin.copy()) == 5
     assert table.find(keys[4].copy()) == 4
