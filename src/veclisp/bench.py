@@ -39,8 +39,6 @@ def _header(kind: str, config: SessionConfig, extra: dict[str, object]) -> list[
         "memory_kind": config.memory_kind,
         "beta": config.beta,
         "rho": config.rho,
-        "max_iters": config.max_iters,
-        "tol": config.tol,
         "step_limit": config.step_limit,
     }
     fields.update(extra)
@@ -68,14 +66,7 @@ def run_capacity(
         row_norms = np.linalg.norm(rows, axis=1)
         targets = rng.choice(d, size=min(probes, d), replace=False)
         for kind in kinds:
-            mem = CleanupMemory(
-                config.dim,
-                kind,
-                beta=config.beta,
-                rho=config.rho,
-                max_iters=config.max_iters,
-                tol=config.tol,
-            )
+            mem = CleanupMemory(config.dim, kind, beta=config.beta, rho=config.rho)
             mem.extend(rows)
             correct = 0
             for idx in targets:

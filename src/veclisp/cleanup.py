@@ -275,17 +275,16 @@ class CleanupMemory:
         """Index of the row with the highest activation; ties go to the lowest index."""
         return int(np.argmax(self.activations(p)))
 
-    def recall_mhn(self, p: Vector, beta: float | None = None) -> Vector:
+    def recall_mhn(self, p: Vector) -> Vector:
         """Softmax-weighted row blend; beta=0 is the unweighted row mean."""
         acts = self.activations(p)
-        b = self.beta if beta is None else float(beta)
-        if b < 0.0:
+        if self.beta < 0.0:
             raise ValueError("beta must be nonnegative")
-        if b == 0.0:
+        if self.beta == 0.0:
             return self.traces.mean(axis=0)
-        return _softmax(b * acts) @ self.traces
+        return _softmax(self.beta * acts) @ self.traces
 
-    def recall_minerva2(self, p: Vector, rho: int | float | None = None) -> Vector:
+    def recall_minerva2(self, p: Vector) -> Vector:
         """Activation-power weighting.
 
         An integer ``rho`` must be odd and is applied as a plain power; a real
@@ -293,7 +292,7 @@ class CleanupMemory:
         the integer path at odd integers.
         """
         acts = self.activations(p)
-        r = self.rho if rho is None else rho
+        r = self.rho
         if isinstance(r, (int, np.integer)) and not isinstance(r, bool):
             if r % 2 == 0:
                 raise ValueError("integer rho must be odd")

@@ -97,8 +97,6 @@ def _build_parser() -> _Parser:
     )
     g.add_argument("--beta", type=float, default=_env("BETA", 1000.0, float))
     g.add_argument("--rho", type=_parse_rho, default=_env("RHO", 3, _parse_rho))
-    g.add_argument("--max-iters", type=int, default=100)
-    g.add_argument("--tol", type=float, default=1e-6)
     g.add_argument("--step-limit", type=int, default=_env("STEP_LIMIT", 100_000, int))
     g.add_argument(
         "--trace",
@@ -141,8 +139,6 @@ def _session_config(args: argparse.Namespace) -> SessionConfig:
         memory_kind=args.memory,
         beta=args.beta,
         rho=args.rho,
-        max_iters=args.max_iters,
-        tol=args.tol,
         step_limit=args.step_limit,
     )
 

@@ -70,10 +70,10 @@ class DecodeError(RuntimeError):
 class TagSet:
     """The reserved vectors of sessions and the codec in ``hrr.to_coords`` coordinates: roles, markers, constants.
 
-    A bind is ``hrr.bind_coords``, an elementwise product, so it needs no FFT
-    and no cache; an unbind binds by the role's involution, whose
-    coordinates are the role's conjugate.  Both take one vector or a stack
-    of shape (..., dim).
+    A role is bound with ``hrr.bind_coords``, an elementwise product, so it
+    needs no FFT and no cache; ``unbind`` binds by the role's involution,
+    whose coordinates are the role's conjugate, and takes one vector or a
+    stack of shape (..., dim).
     """
 
     left: Vector
@@ -89,10 +89,6 @@ class TagSet:
     def from_coords(cls, coords: Callable[[str], Vector]) -> "TagSet":
         """The tag set whose vectors are ``coords`` of the reserved names."""
         return cls(**{attr: coords(name) for attr, name in _RESERVED.items()})
-
-    def bind(self, role: Vector, v: Vector) -> Vector:
-        """The coordinates of the bind of ``role``, ``left`` or ``right``, and ``v``."""
-        return hrr.bind_coords(role, v)
 
     @cached_property
     def _inverses(self) -> dict[int, Vector]:
@@ -348,6 +344,6 @@ def _split_scores(
 ) -> Vector:
     """Similarity of each pair node to its k x k splits rebuilt from stored rows, left-major."""
     (n, k), dim = lefts.shape, pairs.shape[1]
-    bound_lefts = tags.bind(tags.left, mem.traces[lefts.ravel()]).reshape(n, k, 1, dim)
-    bound_rights = tags.bind(tags.right, mem.traces[rights.ravel()]).reshape(n, 1, k, dim)
+    bound_lefts = hrr.bind_coords(tags.left, mem.traces[lefts.ravel()]).reshape(n, k, 1, dim)
+    bound_rights = hrr.bind_coords(tags.right, mem.traces[rights.ravel()]).reshape(n, 1, k, dim)
     return hrr.similarity(bound_lefts + bound_rights + tags.phi, pairs[:, None, None]).reshape(n, k * k)

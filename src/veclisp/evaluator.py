@@ -16,8 +16,8 @@ the session holds and never changes, are computed once per session.
 A session holds every vector in ``hrr.to_coords`` coordinates, an orthogonal
 map, so every norm, dot product and cosine is the time-domain one, and a
 bind is the elementwise ``hrr.bind_coords``: building a pair takes no FFT and one buffer.
-Atoms enter through ``coords`` and leave through ``atom_name``, the
-registry's ``AtomRegistry.coords`` and ``AtomRegistry.name``.
+Atoms enter through the registry's ``AtomRegistry.coords`` and leave through
+its ``AtomRegistry.name``.
 
 A session owns the registry, the memories, the reserved tags and the step
 budget; REPL lines share one session so definitions and stored pairs persist.
@@ -67,8 +67,6 @@ class SessionConfig:
     memory_kind: str = "lookup"
     beta: float = 1000.0
     rho: int | float = 3
-    max_iters: int = 100
-    tol: float = 1e-6
     step_limit: int = 100_000
 
 
@@ -81,14 +79,7 @@ class EvalSession:
         self.thresholds = Thresholds(c.theta_up, c.theta_down)
         self.registry = AtomRegistry(c.dim, c.seed)
         self.tags = TagSet.from_coords(self.registry.coords)
-        self.mem = CleanupMemory(
-            c.dim,
-            c.memory_kind,
-            beta=c.beta,
-            rho=c.rho,
-            max_iters=c.max_iters,
-            tol=c.tol,
-        )
+        self.mem = CleanupMemory(c.dim, c.memory_kind, beta=c.beta, rho=c.rho)
         # ATOM's truth snap recalls from these three rows; nothing else
         # reads this memory, and pairs live in the pair table below.
         self.mem.append(self.tags.nil)
@@ -106,21 +97,13 @@ class EvalSession:
         self.branch_log: list[tuple[str, object]] | None = None
         self.trace_sink: Callable[[str], None] | None = None
         self._gensym_counter = 0
-        self._builtin_vectors = [self.coords(n) for n in BUILTIN_ORDER]
+        self._builtin_vectors = [self.registry.coords(n) for n in BUILTIN_ORDER]
         self.pairs = codec.PairTable(c.dim)
         # (id(u), id(v)) -> (similarity(u, v), u, v) for read-only u and v;
         # holding both operands keeps their ids from passing to new objects.
         self._sims: dict[tuple[int, int], tuple[float, Vector, Vector]] = {}
 
     # -- plumbing -------------------------------------------------------------
-
-    def coords(self, name: str) -> Vector:
-        """The registry's read-only ``hrr.to_coords`` coordinates of the atom ``name``."""
-        return self.registry.coords(name)
-
-    def atom_name(self, v: Vector) -> str:
-        """The name of the atom nearest ``v``: by bytes for a ``coords`` vector or its copy, else by a registry scan."""
-        return self.registry.name(v)
 
     def _sim(self, u: Vector, v: Vector) -> float:
         """``hrr.similarity(u, v)``, computed once per session when both operands are read-only."""
@@ -145,12 +128,12 @@ class EvalSession:
 
     def encode(self, e: SExpr) -> Vector:
         if isinstance(e, Atom):
-            return self.coords(e.name)
+            return self.registry.coords(e.name)
         return self.cons(self.encode(e.left), self.encode(e.right))
 
     def decode(self, v: Vector) -> SExpr:
         """The tree of ``v``: its nearest atom at every atomic node."""
-        return self._fold(v, lambda x: Atom(self.atom_name(x)), Pair)
+        return self._fold(v, lambda x: Atom(self.registry.name(x)), Pair)
 
     def _fold(self, v: Vector, leaf: Callable[[Vector], Out], node: Callable[[Out, Out], Out]) -> Out:
         """``v`` folded through the pair table in a loop, bottom-up and left before right.
@@ -259,9 +242,6 @@ class EvalSession:
             self.fns.append(row)
         return self.tags.done
 
-    def truthy(self, v: Vector) -> bool:
-        return self._sim(v, self.tags.true) > self._sim(v, self.tags.false)
-
     # -- conditionals ------------------------------------------------------------
 
     def cond_eval(self, r: Vector) -> Vector:
@@ -309,23 +289,23 @@ class EvalSession:
             param = self.car(cur)
             if not self.is_atomic(param):
                 raise EvalError("relabel: parameters must be atoms")
-            names.append(self.atom_name(param))
+            names.append(self.registry.name(param))
             cur = self.cdr(cur)
         if len(set(names)) != len(names):
             raise EvalError("relabel: duplicate parameter name")
         mapping = {nm: self._gensym() for nm in names}
         fresh = self.tags.nil
-        for g in reversed([self.coords(mapping[nm]) for nm in names]):
+        for g in reversed([self.registry.coords(mapping[nm]) for nm in names]):
             fresh = self.cons(g, fresh)
 
         def renamed(v: Vector) -> Vector:
-            name = self.atom_name(v)
-            return self.coords(mapping.get(name, name))
+            name = self.registry.name(v)
+            return self.registry.coords(mapping.get(name, name))
 
         return fresh, self._fold(e, renamed, self.cons)
 
     def _lambda_expr(self, x: Vector, e: Vector) -> Vector:
-        lam = self.coords(LAMBDA_NAME)
+        lam = self.registry.coords(LAMBDA_NAME)
         return self.cons(lam, self.cons(x, self.cons(e, self.tags.nil)))
 
     def lambda_apply(self, lam: Vector, a: Vector) -> Vector:
@@ -419,7 +399,7 @@ class EvalSession:
             self._log("fcall", "miss")
             return self.cons(f, a), False
         # The definition whose key is most like the bound name, ties to the first.
-        acts = np.stack([self.pairs.keys[r] for r in self.fns]) @ self.tags.bind(self.tags.left, f)
+        acts = np.stack([self.pairs.keys[r] for r in self.fns]) @ hrr.bind_coords(self.tags.left, f)
         entry = self.pairs.keys[self.fns[int(np.argmax(acts))]]
         gate = self._sim(f, self.car(entry))
 

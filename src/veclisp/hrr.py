@@ -6,8 +6,10 @@ built with circular convolution (binding) and elementwise addition
 (superposition), and taken apart with an approximate inverse based on index
 reversal.  ``to_coords`` maps a vector to orthonormal real Fourier
 coordinates, where binding is the elementwise ``bind_coords``; the codec and
-evaluation sessions hold their vectors there, with atoms from
-``AtomRegistry.coords``.  All operations are deterministic given a registry seed.
+evaluation sessions hold their vectors there.  ``AtomRegistry`` holds each
+atom only there too: ``coords`` converts a name's draw once, and ``name`` and
+``nearest`` read coordinates.  All operations are deterministic given a
+registry seed.
 """
 from __future__ import annotations
 
@@ -83,12 +85,13 @@ def _seed_material(seed: int, dim: int, name: str) -> int:
 
 
 class AtomRegistry:
-    """Deterministic name-to-vector table.
+    """Deterministic name-to-atom table, held in ``to_coords`` coordinates.
 
-    Each vector is derived from (seed, dim, name) alone, so the mapping does not
+    Each atom is derived from (seed, dim, name) alone, so the mapping does not
     depend on insertion order and two registries with the same seed agree on
-    every name they share.  Lookups cache the drawn vector, and ``coords``
-    caches its ``to_coords`` coordinates.
+    every name they share.  ``vector`` draws the time-domain atom afresh on
+    every call; ``coords`` converts each new name's draw once and holds it,
+    and only held atoms are named and scanned.
     """
 
     def __init__(self, dim: int = 2048, seed: int = 0) -> None:
@@ -96,34 +99,23 @@ class AtomRegistry:
             raise ValueError("dim must be positive")
         self.dim = int(dim)
         self.seed = int(seed)
-        self._entries: dict[str, Vector] = {}
-        # bytes_key of an atom -> the names drawn with that key, in draw order
-        self._by_bytes: dict[int, list[str]] = {}
         # name -> its atom's coordinates, and their bytes_key -> the names
         # converted with that key
         self._coords: dict[str, Vector] = {}
         self._names: dict[int, list[str]] = {}
         self._lock = threading.Lock()
-        # From the first ``nearest`` scan on: the atoms in draw order, stacked
-        # into rows [0, _filled) of ``_table``, and their norms in ``_norms``;
-        # later scans copy new atoms in, growing both when full.
+        # From the first ``nearest`` scan on: the held coordinates in draw
+        # order, stacked into rows [0, _filled) of ``_table``, and their norms
+        # in ``_norms``; later scans copy new atoms in, growing both when full.
         self._table: Vector | None = None
         self._norms: Vector | None = None
         self._filled = 0
 
     def vector(self, name: str) -> Vector:
-        """Return the atom vector for ``name``, drawing and caching it on first use."""
-        got = self._entries.get(name)
-        if got is not None:
-            return got
-        with self._lock:
-            got = self._entries.get(name)
-            if got is None:
-                rng = np.random.default_rng(_seed_material(self.seed, self.dim, name))
-                got = rng.normal(0.0, 1.0 / np.sqrt(self.dim), self.dim)
-                got.flags.writeable = False
-                self._entries[name] = got
-                self._by_bytes.setdefault(bytes_key(got), []).append(name)
+        """The read-only time-domain atom ``name``, drawn anew from its seed on every call."""
+        rng = np.random.default_rng(_seed_material(self.seed, self.dim, name))
+        got = rng.normal(0.0, 1.0 / np.sqrt(self.dim), self.dim)
+        got.flags.writeable = False
         return got
 
     def coords(self, name: str) -> Vector:
@@ -131,36 +123,38 @@ class AtomRegistry:
         got = self._coords.get(name)
         if got is not None:
             return got
-        v = self.vector(name)
+        x = to_coords(self.vector(name))
         with self._lock:
             got = self._coords.get(name)
             if got is None:
-                got = self._coords[name] = to_coords(v)
+                got = self._coords[name] = x
                 got.flags.writeable = False
                 self._names.setdefault(bytes_key(got), []).append(name)
         return got
 
-    def name(self, x: Vector) -> str:
-        """The atom nearest coordinates ``x``: by bytes for a ``coords`` vector or its copy, else by a scan."""
+    def _held(self, x: Vector) -> str | None:
+        """The name whose held coordinates are ``x`` or bitwise equal to it, or None."""
         for name in self._names.get(bytes_key(x), ()):
             held = self._coords[name]
             if held is x or np.array_equal(held, x):
                 return name
-        return self.nearest(from_coords(x))[0]
+        return None
 
-    def names(self) -> list[str]:
-        return list(self._entries)
+    def name(self, x: Vector) -> str:
+        """The atom nearest coordinates ``x``: by bytes for a ``coords`` vector or its copy, else by a scan."""
+        name = self._held(x)
+        return self.nearest(x)[0] if name is None else name
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._coords)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._entries
+        return name in self._coords
 
     def _snapshot(self) -> tuple[list[str], Vector, Vector]:
-        """The names in draw order, the stacked atoms and their norms; atoms drawn since the last call join now."""
+        """The names in draw order, their stacked coordinates and norms; atoms held since the last call join now."""
         with self._lock:
-            names, filled = list(self._entries), self._filled
+            names, filled = list(self._coords), self._filled
             m = len(names)
             if self._table is None or len(self._table) < m:
                 table, norms = np.empty((max(16, 2 * m), self.dim)), np.empty(max(16, 2 * m))
@@ -168,25 +162,26 @@ class AtomRegistry:
                     table[:filled], norms[:filled] = self._table[:filled], self._norms[:filled]
                 self._table, self._norms = table, norms
             if filled < m:
-                self._table[filled:m] = [self._entries[k] for k in names[filled:]]
+                self._table[filled:m] = [self._coords[k] for k in names[filled:]]
                 self._norms[filled:m] = np.linalg.norm(self._table[filled:m], axis=1)
                 self._filled = m
             return names, self._table[:m], self._norms[:m]
 
-    def nearest(self, v: Vector) -> tuple[str, float]:
-        """Name and cosine similarity of the registry atom most similar to ``v``.
+    def nearest(self, x: Vector) -> tuple[str, float]:
+        """Name and cosine similarity of the held atom whose coordinates are most similar to ``x``.
 
-        An atom vector itself, bitwise, is found without a scan and scores 1.0.
+        Held coordinates themselves, bitwise, are found without a scan and
+        score 1.0; ties in a scan go to the atom drawn first.
         """
-        if not self._entries:
+        if not self._coords:
             raise KeyError("empty atom registry")
-        for name in self._by_bytes.get(bytes_key(v), ()):
-            if np.array_equal(self._entries[name], v):
-                return name, 1.0
+        name = self._held(x)
+        if name is not None:
+            return name, 1.0
         names, matrix, atom_norms = self._snapshot()
-        norms = atom_norms * np.linalg.norm(v)
+        norms = atom_norms * np.linalg.norm(x)
         with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.where(norms > 0.0, matrix @ v / norms, 0.0)
+            sims = np.where(norms > 0.0, matrix @ x / norms, 0.0)
         best = int(np.argmax(sims))
         return names[best], float(sims[best])
 

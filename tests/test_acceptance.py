@@ -55,12 +55,14 @@ def test_binding_matches_the_quadratic_route_and_recovers_operands(capsys):
 
     registry = AtomRegistry(2048, SEED)
     names = [f"A{i}" for i in range(64)]
+    for nm in names:
+        registry.coords(nm)  # the registry holds, and scans, atoms in coordinates
     atoms = [registry.vector(nm) for nm in names]
     hits = 0
     for _ in range(1000):
         i, j = rng.integers(0, 64, 2)
         recovered = hrr.unbind(atoms[i], hrr.bind(atoms[i], atoms[j]))
-        hits += registry.nearest(recovered)[0] == names[j]
+        hits += registry.nearest(hrr.to_coords(recovered))[0] == names[j]
 
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and commutative and hits >= 999 and elapsed < 30.0

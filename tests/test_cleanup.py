@@ -355,8 +355,8 @@ def test_lookup_breaks_ties_toward_the_lowest_index():
 
 def test_mhn_beta_zero_is_the_row_mean_exactly():
     rng = np.random.default_rng(5)
-    mem = filled(rng, m=12, n=64, kind="mhn")
-    out = mem.recall_mhn(rng.normal(0.0, 1.0, 64), beta=0.0)
+    mem = filled(rng, m=12, n=64, kind="mhn", beta=0.0)
+    out = mem.recall_mhn(rng.normal(0.0, 1.0, 64))
     assert np.array_equal(out, mem.traces.mean(axis=0))
 
 
@@ -370,30 +370,30 @@ def test_mhn_large_beta_approaches_lookup():
 def test_mhn_rejects_negative_beta():
     rng = np.random.default_rng(7)
     with pytest.raises(ValueError):
-        filled(rng, m=3, n=32).recall_mhn(np.zeros(32), beta=-1.0)
+        filled(rng, m=3, n=32, beta=-1.0).recall_mhn(np.zeros(32))
 
 
 def test_minerva2_integer_and_real_rho_agree():
     rng = np.random.default_rng(8)
-    mem = filled(rng, m=25, n=128, kind="minerva2")
-    probe = mem.traces[5] + rng.normal(0.0, 0.1, 128)
+    rows = unit_rows(rng, 25, 128)
+    probe = rows[5] + rng.normal(0.0, 0.1, 128)
     for rho in (1, 3, 5):
-        a = mem.recall_minerva2(probe, rho=rho)
-        b = mem.recall_minerva2(probe, rho=float(rho))
+        a = CleanupMemory(128, "minerva2", rho=rho).extend(rows).recall_minerva2(probe)
+        b = CleanupMemory(128, "minerva2", rho=float(rho)).extend(rows).recall_minerva2(probe)
         assert np.abs(a - b).max() < 1e-9
 
 
 def test_minerva2_rejects_even_integer_rho():
     rng = np.random.default_rng(9)
     with pytest.raises(ValueError):
-        filled(rng, m=3, n=32).recall_minerva2(np.zeros(32), rho=2)
+        filled(rng, m=3, n=32, rho=2).recall_minerva2(np.zeros(32))
 
 
 def test_minerva2_rho_one_is_the_activation_blend():
     rng = np.random.default_rng(10)
-    mem = filled(rng, m=6, n=64, kind="minerva2")
+    mem = filled(rng, m=6, n=64, kind="minerva2", rho=1)
     probe = rng.normal(0.0, 1.0, 64)
-    out = mem.recall_minerva2(probe, rho=1)
+    out = mem.recall_minerva2(probe)
     assert np.allclose(out, mem.activations(probe) @ mem.traces)
 
 

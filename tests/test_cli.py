@@ -231,8 +231,8 @@ def test_boolean_environment_toggle_and_negating_flag(capsys, monkeypatch):
 def test_bad_usage_exits_with_one(capsys, monkeypatch):
     assert call(["bench", "nonsense"], capsys)[0] == 1
     assert call([], capsys)[0] == 1
-    for flag in ("--alpha", "--eta"):  # deleted session flags
-        assert call(["run", "-", "--dim", "128", flag, "1"], capsys, monkeypatch, stdin="(QUOTE A)\n")[0] == 1
+    for flag in ("--alpha", "--eta", "--max-iters", "--tol"):  # deleted session flags
+        assert call(["run", "-", "--dim", "128", flag, "5"], capsys, monkeypatch, stdin="(QUOTE A)\n")[0] == 1
 
 
 def test_internal_failures_exit_with_two(capsys, monkeypatch):

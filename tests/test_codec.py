@@ -35,7 +35,7 @@ def test_cons_vec_matches_the_role_binding_formula():
         key = codec.cons_vec(c, c, tags)
         other = hrr.to_coords(np.random.default_rng(dim).normal(0.0, 1.0 / np.sqrt(dim), dim))
         for x, y in ((a, b), (a, c), (c, a), (a, key), (key, b), (key, other), (other, other)):
-            want = hrr.normalize(tags.bind(tags.left, x) + tags.bind(tags.right, y) + tags.phi)
+            want = hrr.normalize(hrr.bind_coords(tags.left, x) + hrr.bind_coords(tags.right, y) + tags.phi)
             assert codec.cons_vec(x, y, tags).tobytes() == want.tobytes()
     with pytest.raises(hrr.DimensionMismatch):
         codec.cons_vec(a, np.zeros(2047), tags)
@@ -227,8 +227,9 @@ def reference_decode(v, mem, reg, t, depth=codec.DECODE_DEPTH_LIMIT):
     """Reference decoder in the time domain: float64 shortlists, and a 3x3 loop that rebinds both halves per split.
 
     The probe and the stored rows are taken back from coordinates with
-    ``hrr.from_coords``; atoms, binds and unbinds are the registry's vectors
-    and ``hrr.bind``/``hrr.unbind``.
+    ``hrr.from_coords``; tags, binds and unbinds are the registry's vectors
+    and ``hrr.bind``/``hrr.unbind``, and a leaf is named by the registry's
+    scan of its coordinates.
     """
     left, right, phi = (reg.vector(name) for name in (codec.L_NAME, codec.R_NAME, codec.PHI_NAME))
     rows = hrr.from_coords(mem.traces)
@@ -241,7 +242,7 @@ def reference_decode(v, mem, reg, t, depth=codec.DECODE_DEPTH_LIMIT):
         if depth <= 0:
             raise DecodeError("decode divergence: depth limit exceeded")
         if hrr.similarity(v, phi) < t.theta_down:
-            return Atom(reg.nearest(v)[0])
+            return Atom(reg.nearest(hrr.to_coords(v))[0])
         best_sim = -np.inf
         best = None
         for a in shortlist(hrr.unbind(left, v)):

@@ -107,9 +107,10 @@ def test_session_keys_are_the_coordinates_of_the_time_domain_pairs(dim):
         assert np.abs(sess.encode(tree) - want).max() < 1e-12
         assert np.abs(codec.encode(tree, registry, cleanup.CleanupMemory(dim)) - want).max() < 1e-12
     assert np.abs(sess.tags.phi - hrr.to_coords(phi)).max() < 1e-12
-    assert sess.atom_name(sess.coords("A")) == "A"
+    coords = sess.registry.coords
+    assert sess.registry.name(coords("A")) == "A"
     # A vector the session did not hand out is named by the registry's nearest atom.
-    assert sess.atom_name(sess.coords("B") * 0.5 + 0.1 * sess.coords("A")) == "B"
+    assert sess.registry.name(coords("B") * 0.5 + 0.1 * coords("A")) == "B"
 
 
 def test_an_odd_dim_session_agrees_with_the_oracle():
@@ -191,8 +192,8 @@ def test_decode_visits_a_repeated_row_once(monkeypatch):
     sess = fresh()
     v = sess.encode(parse("((A B) (A B))"))
     calls = []
-    atom_name = sess.atom_name
-    monkeypatch.setattr(sess, "atom_name", lambda x: calls.append(1) or atom_name(x))
+    name = sess.registry.name
+    monkeypatch.setattr(sess.registry, "name", lambda x: calls.append(1) or name(x))
     assert to_text(sess.decode(v)) == "((A B) (A B))"
     # A, B and NIL under the shared (A B) row, then the spine's last NIL; a
     # walk that decoded the row twice would look up 7 atoms.
@@ -225,7 +226,7 @@ def test_a_probe_no_stored_pair_answers_raises():
         sess.decode(c)
     # With a key present: a probe without the PHI marker stays below it.
     sess.cons(sess.encode(Atom("X")), sess.encode(Atom("Y")))
-    probe = hrr.normalize(sess.tags.bind(sess.tags.left, a) + sess.tags.bind(sess.tags.right, b))
+    probe = hrr.normalize(hrr.bind_coords(sess.tags.left, a) + hrr.bind_coords(sess.tags.right, b))
     assert hrr.similarity(probe, sess.pairs.traces[0]) < sess.thresholds.theta_down
     for project in (sess.car, sess.cdr):
         with pytest.raises(EvalError, match="no stored pair answers this probe"):
@@ -235,12 +236,17 @@ def test_a_probe_no_stored_pair_answers_raises():
         run(sess, "(CAR (QUOTE A))")
 
 
+def truthy(sess, v):
+    """Whether ``v`` is more like T than like F."""
+    return hrr.similarity(v, sess.tags.true) > hrr.similarity(v, sess.tags.false)
+
+
 def test_eq_blend_is_truthy_only_for_the_same_atom():
     sess = fresh()
     a = sess.encode(Atom("A"))
     b = sess.encode(Atom("B"))
-    assert sess.truthy(sess.eq(a, a))
-    assert not sess.truthy(sess.eq(a, b))
+    assert truthy(sess, sess.eq(a, a))
+    assert not truthy(sess, sess.eq(a, b))
 
 
 @pytest.mark.parametrize("args", ["(QUOTE (A)) (QUOTE A)", "(QUOTE A) (QUOTE (A))", "(QUOTE (A)) (QUOTE (A))"])
@@ -256,10 +262,10 @@ def test_atom_probe_checks_both_operand_and_call_tail():
     sess = fresh()
     a = sess.encode(Atom("A"))
     p = sess.encode(parse("(A . B)"))
-    assert sess.truthy(sess.atom(a, sess.tags.nil))
-    assert not sess.truthy(sess.atom(p, sess.tags.nil))
+    assert truthy(sess, sess.atom(a, sess.tags.nil))
+    assert not truthy(sess, sess.atom(p, sess.tags.nil))
     # A non-NIL tail means the call had surplus arguments; that poisons it.
-    assert not sess.truthy(sess.atom(a, sess.tags.true))
+    assert not truthy(sess, sess.atom(a, sess.tags.true))
 
 
 def blended(sess, a, n):
@@ -506,7 +512,7 @@ def test_relabel_keys_are_the_encoding_of_the_renamed_tree():
 
     def built(tree):
         if isinstance(tree, Atom):
-            return sess.coords(tree.name)
+            return sess.registry.coords(tree.name)
         return codec.cons_vec(built(tree.left), built(tree.right), sess.tags)
 
     assert y.tobytes() == built(Pair(g1, Pair(g2, reader.NIL))).tobytes()

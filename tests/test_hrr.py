@@ -144,12 +144,12 @@ def test_unbind_nearest_neighbor_smoke():
     reg = AtomRegistry(2048, seed=4)
     names = [f"N{i}" for i in range(32)]
     for nm in names:
-        reg.vector(nm)
+        reg.coords(nm)
     rng = np.random.default_rng(4)
     for _ in range(50):
         x, y = rng.choice(names, size=2, replace=False)
         noisy = hrr.unbind(reg.vector(x), hrr.bind(reg.vector(x), reg.vector(y)))
-        assert reg.nearest(noisy)[0] == y
+        assert reg.nearest(hrr.to_coords(noisy))[0] == y
 
 
 # -- similarity and friends ----------------------------------------------------
@@ -426,12 +426,24 @@ def test_registry_is_deterministic_and_order_independent():
     assert not np.array_equal(a1, AtomRegistry(256, seed=6).vector("A"))
 
 
-def test_registry_vectors_are_cached_and_frozen():
+def test_registry_vectors_are_fresh_read_only_draws_that_hold_no_atom():
     reg = AtomRegistry(64, seed=0)
     v = reg.vector("X")
-    assert reg.vector("X") is v
+    want = np.random.default_rng(hrr._seed_material(0, 64, "X")).normal(0.0, 1.0 / np.sqrt(64), 64)
+    assert v.tobytes() == want.tobytes()
     assert not v.flags.writeable
-    assert "X" in reg and len(reg) == 1 and reg.names() == ["X"]
+    again = reg.vector("X")
+    assert again is not v and again.tobytes() == v.tobytes()
+    assert "X" not in reg and len(reg) == 0
+    reg.coords("X")
+    assert "X" in reg and len(reg) == 1 and reg.vector("X") is not v
+
+
+@pytest.mark.parametrize("dim", [1, 64, 2048])
+def test_registry_coords_are_the_coordinates_of_the_draw(dim):
+    reg = AtomRegistry(dim, seed=21)
+    for name in ("A", "NIL", "#L", "#G7"):
+        assert reg.coords(name).tobytes() == hrr.to_coords(reg.vector(name)).tobytes()
 
 
 def test_registry_atoms_have_near_unit_norm():
@@ -451,9 +463,9 @@ def test_registry_distinct_atoms_are_nearly_orthogonal():
 def test_registry_nearest_cleans_a_noisy_atom():
     reg = AtomRegistry(512, seed=14)
     for i in range(10):
-        reg.vector(f"A{i}")
+        reg.coords(f"A{i}")
     rng = np.random.default_rng(14)
-    noisy = reg.vector("A3") + rng.normal(0.0, 0.01, 512)
+    noisy = hrr.to_coords(reg.vector("A3") + rng.normal(0.0, 0.01, 512))
     name, sim = reg.nearest(noisy)
     assert name == "A3" and sim > 0.9
 
@@ -462,12 +474,12 @@ def test_registry_nearest_finds_every_drawn_atom_exactly():
     reg = AtomRegistry(256, seed=16)
     names = [f"A{i}" for i in range(12)]
     for k, name in enumerate(names):
-        reg.vector(name)
+        reg.coords(name)
         for seen in names[: k + 1]:
-            assert reg.nearest(reg.vector(seen)) == (seen, 1.0)
-            assert reg.nearest(reg.vector(seen).copy()) == (seen, 1.0)
+            assert reg.nearest(reg.coords(seen)) == (seen, 1.0)
+            assert reg.nearest(hrr.to_coords(reg.vector(seen))) == (seen, 1.0)
     assert reg._table is None  # no lookup needed the stacked atoms
-    nudged = reg.vector("A4").copy()
+    nudged = reg.coords("A4").copy()
     nudged[0] = np.nextafter(nudged[0], np.inf)
     name, sim = reg.nearest(nudged)  # a scan, which stacks them
     assert name == "A4" and reg._table is not None
@@ -521,27 +533,29 @@ def test_registry_names_copies_of_held_coords_by_bytes(monkeypatch):
     # A copy changed past the hashed prefix is no atom's bytes: it is scanned.
     twin = held[0].copy()
     twin[-1] = np.nextafter(twin[-1], np.inf)
-    assert reg.name(twin) == "A" and len(scans) == 1
+    assert reg.name(twin) == "A" and len(scans) == 1 and scans[0] is twin  # the coordinates themselves
 
 
 def test_registry_nearest_follows_new_atoms():
     reg = AtomRegistry(256, seed=15)
     rng = np.random.default_rng(15)
-    for i in range(6):
-        reg.vector(f"A{i}")
-    probe = reg.vector("A2") + rng.normal(0.0, 0.01, 256)
+    names = [f"A{i}" for i in range(6)]
+    for name in names:
+        reg.coords(name)
+    probe = hrr.to_coords(reg.vector("A2") + rng.normal(0.0, 0.01, 256))
     assert reg.nearest(probe)[0] == "A2"
-    # An atom drawn after a lookup takes part in the next one.
-    later = reg.vector("LATER")
+    # An atom held after a lookup takes part in the next one.
+    names.append("LATER")
+    later = reg.coords("LATER")
     name, sim = reg.nearest(later)
     assert name == "LATER" and sim == 1.0
     # The stacked atoms grow in place, then past their first buffer, and
     # score bitwise as a fresh stack of every atom does.
     for extra in (0, 3, 30):
         for i in range(extra):
-            reg.vector(f"M{extra}.{i}")
-        names = reg.names()
-        matrix = np.stack([reg.vector(k) for k in names])
+            names.append(f"M{extra}.{i}")
+            reg.coords(names[-1])
+        matrix = np.stack([reg.coords(k) for k in names])
         with np.errstate(invalid="ignore", divide="ignore"):
             for v in (probe, 0.5 * later, np.zeros(256)):  # no exact atom: each one scans
                 norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(v)

@@ -50,7 +50,7 @@ def test_tracer_wraps_the_library_and_summarizes_a_decode_and_a_run():
         assert np.array_equal(api.hrr.bind(a, b), hrr.bind(b, a))
         # Decode names its leaves by bytes; the registry's scan is still a
         # traced entry point.
-        assert registry.nearest(a + b)[0] in ("A", "B")
+        assert registry.nearest(hrr.to_coords(a + b))[0] in ("A", "B")
     assert (codec.decode, hrr.bind, cleanup.CleanupMemory.activations, evaluator.EvalSession.car) == originals
 
     counts, times = tracer.summarize(np)
