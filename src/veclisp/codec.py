@@ -142,13 +142,14 @@ class PairTable:
     """A session's hash-consed pairs: each key with the two halves it was built from.
 
     Row i holds the key ``keys[i]`` and its halves ``halves[i]``.  Keys and
-    halves are held for the life of the table and made read-only when
+    halves are held for as long as their row is kept and made read-only when
     stored, so an id found in the table's id maps names the same bytes for
-    as long as the table lives: one from the id of a key to its row, one from
+    as long as its row lives: one from the id of a key to its row, one from
     the ids of a left and a right half to the row first built from exactly
     those objects.  A third map, from a key's ``hrr.bytes_key`` to its rows,
-    finds bitwise copies without a scan.  The keys are stacked into a
-    float64 matrix only when a probe is first ranked against them.
+    finds bitwise copies without a scan.  ``keep`` lets every other row go.
+    The keys are stacked into a float64 matrix only when a probe is first
+    ranked against them.
     """
 
     def __init__(self, dim: int) -> None:
@@ -227,6 +228,24 @@ class PairTable:
     def nearest(self, p: Vector) -> int:
         """The row whose key has the highest dot product with ``p``; ties go to the lowest row."""
         return int(np.argmax(self.traces @ p))
+
+    def keep(self, live: set[int]) -> dict[int, int]:
+        """Keep only the rows ``live``, in their order, and return each kept row's new index.
+
+        The order is kept so that ``nearest`` breaks ties as before.  The
+        other rows' keys and halves are let go with every id-map entry that
+        names them, since their ids can pass to new objects; a pair rebuilt
+        later from bitwise-equal halves gets bitwise the old key.
+        """
+        new = {old: i for i, old in enumerate(sorted(live))}
+        self.keys = [self.keys[old] for old in new]
+        self.halves = [self.halves[old] for old in new]
+        self._rows = {id(key): i for i, key in enumerate(self.keys)}
+        self._built = {ids: new[row] for ids, row in self._built.items() if row in new}
+        by_bytes = ((digest, [new[r] for r in rows if r in new]) for digest, rows in self._by_bytes.items())
+        self._by_bytes = {digest: rows for digest, rows in by_bytes if rows}
+        self._matrix, self._filled = None, 0
+        return new
 
     @property
     def traces(self) -> Vector:

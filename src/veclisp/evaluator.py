@@ -11,7 +11,11 @@ evaluation builds no tree.  A flat cleanup memory holds NIL, T and F for
 ATOM's truth snap, which under ``lookup`` returns the held tag and recalls
 only on a near tie; a function definition is the table row of its
 ``cons(name, body)`` key.  Similarities between two read-only vectors, which
-the session holds and never changes, are computed once per session.
+the session holds and never changes, are computed once and kept while the
+session holds both.  On entry, once the table has outgrown the rows its last
+collection kept, ``run`` lets go of every row no definition reaches, with
+the similarities kept on them; hash-consing gives a pair rebuilt later
+bitwise its old key.
 
 A session holds every vector in ``hrr.to_coords`` coordinates, an orthogonal
 map, so every norm, dot product and cosine is the time-domain one, and a
@@ -46,6 +50,10 @@ __all__ = [
 
 BUILTIN_ORDER = ("CONS", "CAR", "CDR", "EQ", "ATOM", "QUOTE", "COND", "DEFINE")
 LAMBDA_NAME = "LAMBDA"
+# ``run`` collects on entry when the table holds more than COLLECT_GROWTH times
+# the rows the last collection kept, and more than COLLECT_FLOOR rows.
+COLLECT_FLOOR = 256
+COLLECT_GROWTH = 2
 
 Out = TypeVar("Out")
 
@@ -91,8 +99,12 @@ class EvalSession:
         self._truth_rows = (self.tags.nil, self.tags.true, self.tags.false)
         self._truth_dots = [(r @ self.tags.false, r @ self.tags.true) for r in self._truth_rows]
         self._truth_tol = 4 * (c.dim + 2) * hrr._EPS * max(r @ r for r in self._truth_rows)
-        # Table rows of the live definitions' cons(name, body) keys, one per name.
+        # Table rows of the live definitions' cons(name, body) keys, one per name,
+        # and those keys stacked for ``fcall``.
         self.fns: list[int] = []
+        self._fn_keys: Vector | None = None
+        self.collections = 0  # how many times ``collect`` has run
+        self._kept = 0  # rows the last collection kept
         self.steps = 0
         self.branch_log: list[tuple[str, object]] | None = None
         self.trace_sink: Callable[[str], None] | None = None
@@ -101,12 +113,13 @@ class EvalSession:
         self.pairs = codec.PairTable(c.dim)
         # (id(u), id(v)) -> (similarity(u, v), u, v) for read-only u and v;
         # holding both operands keeps their ids from passing to new objects.
+        # ``collect`` keeps an entry only while the session still holds both.
         self._sims: dict[tuple[int, int], tuple[float, Vector, Vector]] = {}
 
     # -- plumbing -------------------------------------------------------------
 
     def _sim(self, u: Vector, v: Vector) -> float:
-        """``hrr.similarity(u, v)``, computed once per session when both operands are read-only."""
+        """``hrr.similarity(u, v)``, computed once and kept when both operands are read-only."""
         if u.flags.writeable or v.flags.writeable:
             return hrr.similarity(u, v)
         key = (id(u), id(v))
@@ -240,6 +253,7 @@ class EvalSession:
                 break
         else:
             self.fns.append(row)
+        self._fn_keys = np.stack([self.pairs.keys[r] for r in self.fns])
         return self.tags.done
 
     # -- conditionals ------------------------------------------------------------
@@ -399,7 +413,7 @@ class EvalSession:
             self._log("fcall", "miss")
             return self.cons(f, a), False
         # The definition whose key is most like the bound name, ties to the first.
-        acts = np.stack([self.pairs.keys[r] for r in self.fns]) @ hrr.bind_coords(self.tags.left, f)
+        acts = self._fn_keys @ hrr.bind_coords(self.tags.left, f)
         entry = self.pairs.keys[self.fns[int(np.argmax(acts))]]
         gate = self._sim(f, self.car(entry))
 
@@ -474,7 +488,33 @@ class EvalSession:
 
     # -- conveniences -----------------------------------------------------------
 
+    def collect(self) -> None:
+        """Let go of the table rows that no definition reaches, and of the similarities kept on them.
+
+        The ``fns`` rows are the roots, and a row reaches the rows whose keys
+        are its halves.  A similarity stays kept only while both operands are
+        still held: a kept key or half, or an atom of the registry.
+        """
+        live: set[int] = set()
+        todo = list(self.fns)
+        while todo:
+            row = todo.pop()
+            if row not in live:
+                live.add(row)
+                todo += [r for r in map(self.pairs.held, self.pairs.halves[row]) if r is not None]
+        new = self.pairs.keep(live)
+        self.fns = [new[r] for r in self.fns]  # the same key objects, so _fn_keys stands
+        held = {id(v) for v in self.registry.atoms()}
+        held.update(map(id, self.pairs.keys))
+        held.update(id(h) for pair in self.pairs.halves for h in pair)
+        self._sims = {ids: hit for ids, hit in self._sims.items() if ids[0] in held and ids[1] in held}
+        self._kept = len(self.pairs)
+        self.collections += 1
+
     def run(self, expr: SExpr) -> SExpr:
+        """Decode of the value of ``expr``, collecting first once the table has outgrown its last collection."""
+        if len(self.pairs) > max(COLLECT_GROWTH * self._kept, COLLECT_FLOOR):
+            self.collect()
         try:
             v = self.eval_expr(self.encode(expr))
         except RecursionError as exc:

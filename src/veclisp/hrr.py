@@ -151,6 +151,11 @@ class AtomRegistry:
     def __contains__(self, name: str) -> bool:
         return name in self._coords
 
+    def atoms(self) -> list[Vector]:
+        """The held coordinates of every atom drawn so far, in draw order."""
+        with self._lock:
+            return list(self._coords.values())
+
     def _snapshot(self) -> tuple[list[str], Vector, Vector]:
         """The names in draw order, their stacked coordinates and norms; atoms held since the last call join now."""
         with self._lock:

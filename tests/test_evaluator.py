@@ -1,13 +1,14 @@
 """Vector evaluator behavior: structural ops, branching, lambdas, the driver."""
 
 import inspect
+import random
 import sys
 
 import numpy as np
 import pytest
 
 from veclisp import cleanup, codec, hrr, oracle, reader
-from veclisp.evaluator import BudgetExceeded, EvalError, EvalSession, SessionConfig
+from veclisp.evaluator import COLLECT_FLOOR, BudgetExceeded, EvalError, EvalSession, SessionConfig
 from veclisp.oracle import OracleEnv
 from veclisp.reader import Atom, Pair, parse, to_text
 
@@ -621,3 +622,55 @@ def test_trace_lines_report_step_head_and_similarity():
 def test_session_runs_on_a_softmax_memory():
     sess = fresh(dim=512, seed=3, memory_kind="mhn", beta=1000.0)
     assert run(sess, "(CAR (QUOTE (A B)))") == "A"
+
+
+# -- collection ---------------------------------------------------------------------
+
+
+def test_a_collection_leaves_no_id_map_entry_on_a_dropped_row():
+    sess = fresh()
+    run(sess, "(DEFINE KEEP (LAMBDA (P) (CONS P (QUOTE Z))))")
+    defined = sess.pairs.keys[sess.fns[0]]
+    dead = sess.encode(parse("((DEAD . PAIR) . GONE)"))
+    inner = sess.car(dead)
+    halves = [v.copy() for v in sess.pairs.halves[sess.pairs.held(inner)]]
+    assert sess.is_atomic(dead) is False  # a kept similarity on the dead key
+    rows = len(sess.pairs)
+    sess.collect()
+    table = sess.pairs
+    assert sess.collections == 1 and len(table) < rows
+    assert table.keys[sess.fns[0]] is defined
+    for dropped in (dead, inner):
+        assert table.held(dropped) is None and table.find(dropped) is None
+    assert not any(id(dead) in ids for ids in sess._sims)
+    # Every id pair left names the halves of the row it maps to.
+    assert all(ids == tuple(map(id, table.halves[row])) for ids, row in table._built.items())
+    rebuilt = sess.cons(*halves)
+    assert rebuilt.tobytes() == inner.tobytes()
+    row = table.held(rebuilt)
+    assert row == len(table) - 1 and all(a is b for a, b in zip(table.halves[row], halves))
+    sess.branch_log = []
+    assert run(sess, "((KEEP (QUOTE A)))") == "(A . Z)"
+    assert ("fcall", "hit") in sess.branch_log
+
+
+def test_a_long_repl_session_keeps_its_table_under_a_fixed_bound():
+    # 2,000 lines: eight names redefined in turn, calls of them and lists, all
+    # over fresh atoms.  The live definitions stay few, so the table must too:
+    # a collection keeps only what they reach, and ``run`` collects before
+    # the table passes COLLECT_FLOOR rows plus one line's worth.
+    sess, env = fresh(dim=512), OracleEnv()
+    sizes = []
+    for n in range(2000):
+        name, a, b = f"F{n // 4 % 8}", f"X{n}", f"Y{n}"
+        text = (
+            f"(DEFINE {name} (LAMBDA (P) (CONS P (QUOTE {a}))))",
+            f"(({name} (QUOTE ({a} {b}))))",
+            f"(({name} (QUOTE {a})))",
+            f"(CONS (QUOTE {a}) (CONS (QUOTE {b}) ()))",
+        )[n % 4]
+        sizes.append(len(sess.pairs))
+        env.steps = 0
+        assert run(sess, text) == to_text(oracle.evaluate(parse(text), env)), text
+    assert sess.collections >= 10
+    assert max(sizes) <= COLLECT_FLOOR + 32
