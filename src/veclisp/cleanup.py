@@ -10,7 +10,6 @@ and screens shortlists through a float32 copy of its rows.
 """
 from __future__ import annotations
 
-import struct
 from typing import Literal
 
 import numpy as np
@@ -26,8 +25,10 @@ __all__ = [
 
 KINDS = ("lookup", "mhn", "minerva2", "hopfield", "grossberg")
 
-_MAGIC = b"VCM3"
-_HEADER = struct.Struct("<4sBBQQ6dQ")
+# Hopfield recall stops once an iterate moves by less than HOPFIELD_TOL, and
+# raises ConvergenceError after HOPFIELD_MAX_ITERS steps without that.
+HOPFIELD_MAX_ITERS = 100
+HOPFIELD_TOL = 1e-6
 
 _EPS = float(np.finfo(np.float64).eps)
 
@@ -94,8 +95,8 @@ class CleanupMemory:
     bytes through an index of row hashes, without a scan, and ``append``
     stores a trace only when ``find`` finds no row with its bytes, so
     repeated stores do not grow the matrix; ``extend`` stores rows exactly as
-    given.  Snapshots keep every parameter, carried inertly when the kind
-    does not use it.
+    given.  ``beta`` must be nonnegative and an integer ``rho`` odd, whatever
+    the kind; the constructor checks both.
 
     ``shortlist`` is screened through a float32 copy of the rows, which costs
     4 bytes per stored coordinate on top of the 8 of the float64 rows.  A
@@ -123,13 +124,15 @@ class CleanupMemory:
         gamma: float = 1000.0,
         alpha: float = 1.0,
         eta: float = 0.1,
-        max_iters: int = 100,
-        tol: float = 1e-6,
     ) -> None:
         if kind not in KINDS:
             raise ValueError(f"unknown memory kind {kind!r}")
         if dim <= 0:
             raise ValueError("dim must be positive")
+        if not beta >= 0.0:  # NaN fails too
+            raise ValueError("beta must be nonnegative")
+        if isinstance(rho, (int, np.integer)) and not isinstance(rho, bool) and rho % 2 == 0:
+            raise ValueError("integer rho must be odd")
         self.dim = int(dim)
         self.kind = kind
         self.beta = float(beta)
@@ -137,8 +140,6 @@ class CleanupMemory:
         self.gamma = float(gamma)
         self.alpha = float(alpha)
         self.eta = float(eta)
-        self.max_iters = int(max_iters)
-        self.tol = float(tol)
         self._buf = np.empty((16, dim))
         self._buf32 = np.empty((16, dim), dtype=np.float32)
         # Norms of the float64 rows, whatever dtype a caller stored: the
@@ -256,16 +257,8 @@ class CleanupMemory:
     # -- recall -------------------------------------------------------------
 
     def recall(self, p: Vector) -> Vector:
-        """Dispatch recall by the configured kind."""
-        if self.kind == "lookup":
-            return self.recall_lookup(p)
-        if self.kind == "mhn":
-            return self.recall_mhn(p)
-        if self.kind == "minerva2":
-            return self.recall_minerva2(p)
-        if self.kind == "hopfield":
-            return self.recall_hopfield(p)
-        return self.recall_grossberg(p)
+        """Dispatch recall by the configured kind: ``recall_<kind>``."""
+        return getattr(self, f"recall_{self.kind}")(p)
 
     def recall_lookup(self, p: Vector) -> Vector:
         """Exact row with the highest activation; ties go to the lowest index."""
@@ -278,8 +271,6 @@ class CleanupMemory:
     def recall_mhn(self, p: Vector) -> Vector:
         """Softmax-weighted row blend; beta=0 is the unweighted row mean."""
         acts = self.activations(p)
-        if self.beta < 0.0:
-            raise ValueError("beta must be nonnegative")
         if self.beta == 0.0:
             return self.traces.mean(axis=0)
         return _softmax(self.beta * acts) @ self.traces
@@ -287,15 +278,13 @@ class CleanupMemory:
     def recall_minerva2(self, p: Vector) -> Vector:
         """Activation-power weighting.
 
-        An integer ``rho`` must be odd and is applied as a plain power; a real
-        ``rho`` uses the sign-preserving form sgn(x)|x|^rho, which agrees with
-        the integer path at odd integers.
+        An integer ``rho``, odd by construction, is applied as a plain power;
+        a real ``rho`` uses the sign-preserving form sgn(x)|x|^rho, which
+        agrees with the integer path at odd integers.
         """
         acts = self.activations(p)
         r = self.rho
         if isinstance(r, (int, np.integer)) and not isinstance(r, bool):
-            if r % 2 == 0:
-                raise ValueError("integer rho must be odd")
             w = acts ** int(r)
         else:
             w = np.sign(acts) * np.abs(acts) ** float(r)
@@ -304,13 +293,13 @@ class CleanupMemory:
     def recall_hopfield(self, p: Vector) -> Vector:
         """Iterate the hardmax recall step until the iterate stops moving."""
         x = p
-        for _ in range(self.max_iters):
+        for _ in range(HOPFIELD_MAX_ITERS):
             nxt = self.recall_lookup(x)
-            if np.linalg.norm(nxt - x) < self.tol:
+            if np.linalg.norm(nxt - x) < HOPFIELD_TOL:
                 return nxt
             x = nxt
         raise ConvergenceError(
-            f"no fixed point within {self.max_iters} iterations", last_iterate=x
+            f"no fixed point within {HOPFIELD_MAX_ITERS} iterations", last_iterate=x
         )
 
     def recall_grossberg(self, p: Vector) -> Vector:
@@ -349,62 +338,3 @@ class CleanupMemory:
         self._index = {}
         self._mirror(0, self._m)
         return self
-
-    # -- serialization --------------------------------------------------------
-
-    def to_bytes(self) -> bytes:
-        """Flat binary snapshot: fixed header, then row-major float64 traces."""
-        rho_is_int = isinstance(self.rho, (int, np.integer)) and not isinstance(self.rho, bool)
-        header = _HEADER.pack(
-            _MAGIC,
-            KINDS.index(self.kind),
-            1 if rho_is_int else 0,
-            self._m,
-            self.dim,
-            self.beta,
-            float(self.rho),
-            self.gamma,
-            self.alpha,
-            self.eta,
-            self.tol,
-            self.max_iters,
-        )
-        body = np.ascontiguousarray(self.traces, dtype="<f8").tobytes()
-        return header + body
-
-    @classmethod
-    def from_bytes(cls, blob: bytes) -> "CleanupMemory":
-        if len(blob) < _HEADER.size:
-            raise ValueError("truncated cleanup memory snapshot")
-        magic, kind_i, rho_is_int, m, dim, beta, rho, gamma, alpha, eta, tol, max_iters = _HEADER.unpack_from(blob)
-        if magic != _MAGIC:
-            raise ValueError("bad cleanup memory magic")
-        if kind_i >= len(KINDS):
-            raise ValueError(f"unknown memory kind index {kind_i}")
-        expected = _HEADER.size + m * dim * 8
-        if len(blob) != expected:
-            raise ValueError(f"snapshot length {len(blob)} does not match header ({expected})")
-        mem = cls(
-            int(dim),
-            KINDS[kind_i],
-            beta=beta,
-            rho=int(rho) if rho_is_int else rho,
-            gamma=gamma,
-            alpha=alpha,
-            eta=eta,
-            max_iters=int(max_iters),
-            tol=tol,
-        )
-        rows = np.frombuffer(blob, dtype="<f8", offset=_HEADER.size).reshape(int(m), int(dim))
-        if m:
-            mem.extend(rows.astype(np.float64))
-        return mem
-
-    def save(self, path: str) -> None:
-        with open(path, "wb") as fh:
-            fh.write(self.to_bytes())
-
-    @classmethod
-    def load(cls, path: str) -> "CleanupMemory":
-        with open(path, "rb") as fh:
-            return cls.from_bytes(fh.read())

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from .codec import DONE_NAME
 from .reader import NIL, T, F, Atom, Pair, SExpr
 
-__all__ = ["OracleEnv", "OracleError", "evaluate", "apply_lambda", "substitute", "relabel", "run_program"]
+__all__ = ["OracleEnv", "OracleError", "evaluate", "apply_lambda", "substitute", "relabel"]
 
 GENSYM_PREFIX = "#o"
 
@@ -201,13 +201,3 @@ def substitute(x: SExpr, e: SExpr, value: SExpr, env: OracleEnv) -> SExpr:
         return Pair(left, substitute(x, e.right, value, env))
     env.log("subst", 7)
     return Pair(e.left, substitute(x, e.right, value, env))
-
-
-def run_program(exprs: list[SExpr], env: OracleEnv | None = None) -> list[SExpr]:
-    """Evaluate a sequence of expressions in one environment."""
-    env = env or OracleEnv()
-    out = []
-    for e in exprs:
-        env.steps = 0
-        out.append(evaluate(e, env))
-    return out

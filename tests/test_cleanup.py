@@ -1,9 +1,10 @@
-"""Cleanup memory tests: recall per kind, the limit identities between kinds,
-update rules, and the binary snapshot format."""
+"""Cleanup memory tests: storage and its float32 screen, recall per kind, the
+limit identities between kinds, the constructor's parameter checks, and the
+update rules."""
 import numpy as np
 import pytest
 
-from veclisp import hrr
+from veclisp import cleanup, hrr
 from veclisp.cleanup import KINDS, CleanupMemory, ConvergenceError, EmptyMemoryError
 
 
@@ -132,9 +133,9 @@ def test_screened_recall_returns_the_float64_argmax_row():
 
     def reference_hopfield(p):
         x = p
-        for _ in range(mem.max_iters):
+        for _ in range(cleanup.HOPFIELD_MAX_ITERS):
             nxt = reference_lookup(x)
-            if np.linalg.norm(nxt - x) < mem.tol:
+            if np.linalg.norm(nxt - x) < cleanup.HOPFIELD_TOL:
                 return nxt
             x = nxt
         raise AssertionError("reference hopfield did not converge")
@@ -279,7 +280,7 @@ def mirrored(memory):
     assert {key: sorted(ix) for key, ix in memory._index.items()} == index
 
 
-def test_mirror_follows_updates_and_snapshots():
+def test_mirror_follows_updates_and_copies():
     rng = np.random.default_rng(25)
     n = 512
     m = 70
@@ -307,10 +308,10 @@ def test_mirror_follows_updates_and_snapshots():
     mem.apply_update(mem.traces[4], grad, "RG")
     agrees(new, mem)
     assert np.allclose(mem.recall_lookup(new), new)
-    back = CleanupMemory.from_bytes(mem.to_bytes())
+    back = CleanupMemory(n).extend(mem.traces)
     for i in range(m):
         agrees(mem.traces[i], back)
-    back.extend(unit_rows(rng, 80, n))  # past the snapshot's capacity
+    back.extend(unit_rows(rng, 80, n))  # past the copy's capacity
     for i in range(m + 80):
         agrees(back.traces[i], back)
     # RE reweights every row; single appends, float32 ones among them, grow
@@ -368,9 +369,11 @@ def test_mhn_large_beta_approaches_lookup():
 
 
 def test_mhn_rejects_negative_beta():
-    rng = np.random.default_rng(7)
-    with pytest.raises(ValueError):
-        filled(rng, m=3, n=32, beta=-1.0).recall_mhn(np.zeros(32))
+    # Checked once, at construction, whatever the kind.
+    for kind in KINDS:
+        for beta in (-1.0, float("nan")):
+            with pytest.raises(ValueError, match="beta must be nonnegative"):
+                CleanupMemory(32, kind, beta=beta)
 
 
 def test_minerva2_integer_and_real_rho_agree():
@@ -384,9 +387,14 @@ def test_minerva2_integer_and_real_rho_agree():
 
 
 def test_minerva2_rejects_even_integer_rho():
+    # Checked once, at construction, whatever the kind; a real rho may be even.
+    for kind in KINDS:
+        for rho in (2, 0, -4, np.int64(4)):
+            with pytest.raises(ValueError, match="integer rho must be odd"):
+                CleanupMemory(32, kind, rho=rho)
     rng = np.random.default_rng(9)
-    with pytest.raises(ValueError):
-        filled(rng, m=3, n=32, rho=2).recall_minerva2(np.zeros(32))
+    out = filled(rng, m=3, n=32, kind="minerva2", rho=2.0).recall_minerva2(np.ones(32))
+    assert out.shape == (32,)
 
 
 def test_minerva2_rho_one_is_the_activation_blend():
@@ -404,9 +412,10 @@ def test_hopfield_converges_to_a_stored_row():
     assert np.array_equal(mem.recall_hopfield(probe), mem.traces[9])
 
 
-def test_hopfield_convergence_error_carries_the_last_iterate():
+def test_hopfield_convergence_error_carries_the_last_iterate(monkeypatch):
+    monkeypatch.setattr(cleanup, "HOPFIELD_MAX_ITERS", 1)
     rng = np.random.default_rng(12)
-    mem = filled(rng, m=5, n=64, kind="hopfield", max_iters=1)
+    mem = filled(rng, m=5, n=64, kind="hopfield")
     probe = mem.traces[2] + rng.normal(0.0, 0.1, 64)
     with pytest.raises(ConvergenceError) as exc:
         mem.recall_hopfield(probe)
@@ -491,53 +500,3 @@ def test_update_validates_grad_shape_and_rule():
         mem.apply_update(mem.traces[0], np.zeros((4, 32)), "RX")
     with pytest.raises(EmptyMemoryError):
         CleanupMemory(32).apply_update(np.zeros(32), np.zeros((0, 32)), "RC")
-
-
-# -- serialization ------------------------------------------------------------------
-
-
-def test_snapshot_round_trip_is_bit_exact():
-    rng = np.random.default_rng(19)
-    mem = filled(rng, m=9, n=48, kind="minerva2", beta=7.5, rho=5, gamma=2.0,
-                 alpha=0.5, eta=0.01, max_iters=33, tol=1e-8)
-    back = CleanupMemory.from_bytes(mem.to_bytes())
-    assert back.kind == "minerva2"
-    assert (back.beta, back.gamma, back.alpha, back.eta) == (7.5, 2.0, 0.5, 0.01)
-    assert back.rho == 5 and isinstance(back.rho, int)
-    assert back.max_iters == 33 and back.tol == 1e-8
-    assert np.array_equal(back.traces, mem.traces)
-
-
-def test_snapshot_preserves_real_rho():
-    mem = CleanupMemory(8, "minerva2", rho=2.5)
-    back = CleanupMemory.from_bytes(mem.to_bytes())
-    assert back.rho == 2.5 and isinstance(back.rho, float)
-
-
-def test_snapshot_of_empty_memory():
-    back = CleanupMemory.from_bytes(CleanupMemory(16).to_bytes())
-    assert len(back) == 0 and back.dim == 16
-
-
-def test_snapshot_rejects_corruption():
-    rng = np.random.default_rng(20)
-    blob = filled(rng, m=3, n=16).to_bytes()
-    with pytest.raises(ValueError):
-        CleanupMemory.from_bytes(blob[:10])
-    with pytest.raises(ValueError):
-        CleanupMemory.from_bytes(blob[:-8])
-    with pytest.raises(ValueError):
-        CleanupMemory.from_bytes(b"XXXX" + blob[4:])
-    with pytest.raises(ValueError, match="magic"):
-        CleanupMemory.from_bytes(b"VCM2" + blob[4:])  # the layout that carried a dedup threshold
-    with pytest.raises(ValueError):
-        CleanupMemory.from_bytes(blob[:4] + bytes([len(KINDS)]) + blob[5:])
-
-
-def test_save_and_load_files(tmp_path):
-    rng = np.random.default_rng(21)
-    mem = filled(rng, m=5, n=24)
-    path = tmp_path / "mem.bin"
-    mem.save(str(path))
-    back = CleanupMemory.load(str(path))
-    assert np.array_equal(back.traces, mem.traces)

@@ -235,6 +235,20 @@ def test_bad_usage_exits_with_one(capsys, monkeypatch):
         assert call(["run", "-", "--dim", "128", flag, "5"], capsys, monkeypatch, stdin="(QUOTE A)\n")[0] == 1
 
 
+@pytest.mark.parametrize("mode", [["run", "-"], ["repl"]])
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--memory", "mhn", "--beta", "-1"], "beta must be nonnegative"),
+        (["--memory", "minerva2", "--rho", "2"], "integer rho must be odd"),
+    ],
+)
+def test_bad_memory_parameters_exit_before_evaluating(mode, flags, message, capsys, monkeypatch):
+    code, out, err = call(mode + ["--dim", "128"] + flags, capsys, monkeypatch, stdin="(QUOTE A)\n")
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_internal_failures_exit_with_two(capsys, monkeypatch):
     def boom(kind, config):
         raise RuntimeError("boom")

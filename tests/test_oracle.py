@@ -223,12 +223,6 @@ def test_step_budget_stops_runaway_recursion():
         oracle.evaluate(parse("((LOOP (QUOTE A)))"), env)
 
 
-def test_run_program_resets_the_budget_per_expression():
-    exprs = [parse("(CONS (QUOTE A) ())")] * 3
-    outs = oracle.run_program(exprs, OracleEnv(step_limit=8))
-    assert [to_text(o) for o in outs] == ["(A)"] * 3
-
-
 def test_gensyms_are_fresh_and_prefixed():
     env = OracleEnv()
     a, b = env.gensym(), env.gensym()
