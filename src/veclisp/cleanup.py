@@ -10,6 +10,7 @@ and screens shortlists through a float32 copy of its rows.
 """
 from __future__ import annotations
 
+import math
 from typing import Literal
 
 import numpy as np
@@ -95,7 +96,7 @@ class CleanupMemory:
     bytes through an index of row hashes, without a scan, and ``append``
     stores a trace only when ``find`` finds no row with its bytes, so
     repeated stores do not grow the matrix; ``extend`` stores rows exactly as
-    given.  ``beta`` must be nonnegative and an integer ``rho`` odd, whatever
+    given.  ``beta`` must be finite and nonnegative and an integer ``rho`` odd, whatever
     the kind; the constructor checks both.
 
     ``shortlist`` is screened through a float32 copy of the rows, which costs
@@ -131,6 +132,8 @@ class CleanupMemory:
             raise ValueError("dim must be positive")
         if not beta >= 0.0:  # NaN fails too
             raise ValueError("beta must be nonnegative")
+        if not math.isfinite(beta):  # an infinite beta makes the softmax NaN
+            raise ValueError("beta must be finite")
         if isinstance(rho, (int, np.integer)) and not isinstance(rho, bool) and rho % 2 == 0:
             raise ValueError("integer rho must be odd")
         self.dim = int(dim)

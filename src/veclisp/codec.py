@@ -19,7 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -86,9 +85,19 @@ class TagSet:
     done: Vector
 
     @classmethod
-    def from_coords(cls, coords: Callable[[str], Vector]) -> "TagSet":
-        """The tag set whose vectors are ``coords`` of the reserved names."""
-        return cls(**{attr: coords(name) for attr, name in _RESERVED.items()})
+    def of(cls, registry: AtomRegistry) -> "TagSet":
+        """The tag set of ``registry``'s reserved atoms: the one built last, when its vectors are those objects.
+
+        Registries of one (seed, dim) share their atoms' objects, so their
+        sessions and codec calls share one tag set, with its ``_inverses`` and
+        ``_views``, until another (seed, dim) asks.
+        """
+        global _last_tags
+        vectors = {attr: registry.coords(name) for attr, name in _RESERVED.items()}
+        tags = _last_tags
+        if tags is None or any(getattr(tags, attr) is not v for attr, v in vectors.items()):
+            tags = _last_tags = cls(**vectors)
+        return tags
 
     @cached_property
     def _inverses(self) -> dict[int, Vector]:
@@ -123,6 +132,9 @@ class TagSet:
             out[i] = self.left[i] * a[i] * math.sqrt(n) + self.right[i] * b[i] * math.sqrt(n)
         out += self.phi
         return out
+
+
+_last_tags: TagSet | None = None  # the tag set ``TagSet.of`` built last
 
 
 def cons_vec(a: Vector, b: Vector, tags: TagSet) -> Vector:
@@ -263,7 +275,7 @@ class PairTable:
 
 def encode(e: SExpr, registry: AtomRegistry, mem: CleanupMemory) -> Vector:
     """Encode a tree bottom-up in coordinates; each distinct half of a sub-pair is stored once."""
-    return _encode(e, registry, mem, TagSet.from_coords(registry.coords))
+    return _encode(e, registry, mem, TagSet.of(registry))
 
 
 def _encode(e: SExpr, registry: AtomRegistry, mem: CleanupMemory, tags: TagSet) -> Vector:
@@ -303,7 +315,7 @@ def decode(
     levels, each no wider than the store; it raises ``DecodeError`` when some
     path is longer than ``max_depth``.
     """
-    tags = TagSet.from_coords(registry.coords)
+    tags = TagSet.of(registry)
     nodes = v[None]
     # Per level above the last: each node's atom or None, the level's pair
     # nodes and, for each, the next level's positions of its two halves.

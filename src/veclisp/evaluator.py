@@ -21,7 +21,11 @@ A session holds every vector in ``hrr.to_coords`` coordinates, an orthogonal
 map, so every norm, dot product and cosine is the time-domain one, and a
 bind is the elementwise ``hrr.bind_coords``: building a pair takes no FFT and one buffer.
 Atoms enter through the registry's ``AtomRegistry.coords`` and leave through
-its ``AtomRegistry.name``.
+its ``AtomRegistry.name``.  Atoms are drawn once per process, up to
+``hrr.ATOM_STORE_SIZE`` of them: a session takes its atoms' coordinates from
+the process-wide store (``AtomRegistry.vector`` still draws afresh) and
+shares its tag set (``TagSet.of``), so a fresh session redraws no name an
+earlier one used while the store keeps it.
 
 A session owns the registry, the memories, the reserved tags and the step
 budget; REPL lines share one session so definitions and stored pairs persist.
@@ -86,7 +90,7 @@ class EvalSession:
         c = self.config
         self.thresholds = Thresholds(c.theta_up, c.theta_down)
         self.registry = AtomRegistry(c.dim, c.seed)
-        self.tags = TagSet.from_coords(self.registry.coords)
+        self.tags = TagSet.of(self.registry)
         self.mem = CleanupMemory(c.dim, c.memory_kind, beta=c.beta, rho=c.rho)
         # ATOM's truth snap recalls from these three rows; nothing else
         # reads this memory, and pairs live in the pair table below.

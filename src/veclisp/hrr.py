@@ -7,15 +7,18 @@ built with circular convolution (binding) and elementwise addition
 reversal.  ``to_coords`` maps a vector to orthonormal real Fourier
 coordinates, where binding is the elementwise ``bind_coords``; the codec and
 evaluation sessions hold their vectors there.  ``AtomRegistry`` holds each
-atom only there too: ``coords`` converts a name's draw once, and ``name`` and
-``nearest`` read coordinates.  All operations are deterministic given a
-registry seed.
+atom only there too, and ``name`` and ``nearest`` read coordinates.  An atom is
+a pure function of (seed, dim, name), so its read-only coordinates are drawn
+and converted once per process: every registry of one (seed, dim) reads them
+from one store of the ``ATOM_STORE_SIZE`` atoms used last, and draws only on a
+miss.  All operations are deterministic given a registry seed.
 """
 from __future__ import annotations
 
 import hashlib
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
@@ -25,6 +28,9 @@ from numpy.typing import NDArray
 Vector = NDArray[np.float64]
 
 KEY_PREFIX = 32  # entries of a vector its bytes indexes hash: 256 bytes, not 16 KB at dim 2048
+# Atoms the process-wide store keeps, the least recently stored or fetched
+# going first: 16 MB at dim 2048.  A corpus or REPL names far fewer.
+ATOM_STORE_SIZE = 1024
 
 __all__ = [
     "Vector",
@@ -84,14 +90,22 @@ def _seed_material(seed: int, dim: int, name: str) -> int:
     return int.from_bytes(digest, "little")
 
 
+# (seed, dim, name) -> the read-only coordinates of that atom, shared by every
+# registry; at most ATOM_STORE_SIZE entries, oldest use first.
+_atoms: OrderedDict[tuple[int, int, str], Vector] = OrderedDict()
+_atoms_lock = threading.Lock()
+
+
 class AtomRegistry:
     """Deterministic name-to-atom table, held in ``to_coords`` coordinates.
 
     Each atom is derived from (seed, dim, name) alone, so the mapping does not
     depend on insertion order and two registries with the same seed agree on
     every name they share.  ``vector`` draws the time-domain atom afresh on
-    every call; ``coords`` converts each new name's draw once and holds it,
-    and only held atoms are named and scanned.
+    every call; ``coords`` holds each name it is asked for, taken from the
+    process-wide atom store or drawn and converted once on a miss, so
+    registries of one (seed, dim) share their atoms' objects.  Only the atoms
+    a registry holds are named and scanned by it.
     """
 
     def __init__(self, dim: int = 2048, seed: int = 0) -> None:
@@ -119,16 +133,30 @@ class AtomRegistry:
         return got
 
     def coords(self, name: str) -> Vector:
-        """The read-only ``to_coords`` of the atom ``name``: converted once, one object per name."""
+        """The read-only ``to_coords`` of the atom ``name``, one object per name.
+
+        A name new to the registry is taken from the process-wide store,
+        where any registry of this (seed, dim) may have put it, and is drawn
+        through ``vector`` and converted only when the store does not hold it.
+        """
         got = self._coords.get(name)
         if got is not None:
             return got
-        x = to_coords(self.vector(name))
+        key = (self.seed, self.dim, name)
+        with _atoms_lock:
+            x = _atoms.get(key)
+        if x is None:
+            x = to_coords(self.vector(name))
+            x.flags.writeable = False
+        with _atoms_lock:
+            x = _atoms.setdefault(key, x)  # a registry that drew it meanwhile stored it first
+            _atoms.move_to_end(key)
+            if len(_atoms) > ATOM_STORE_SIZE:
+                _atoms.popitem(last=False)
         with self._lock:
             got = self._coords.get(name)
             if got is None:
                 got = self._coords[name] = x
-                got.flags.writeable = False
                 self._names.setdefault(bytes_key(got), []).append(name)
         return got
 

@@ -371,9 +371,11 @@ def test_mhn_large_beta_approaches_lookup():
 def test_mhn_rejects_negative_beta():
     # Checked once, at construction, whatever the kind.
     for kind in KINDS:
-        for beta in (-1.0, float("nan")):
+        for beta in (-1.0, float("nan"), float("-inf")):
             with pytest.raises(ValueError, match="beta must be nonnegative"):
                 CleanupMemory(32, kind, beta=beta)
+        with pytest.raises(ValueError, match="beta must be finite"):
+            CleanupMemory(32, kind, beta=float("inf"))
 
 
 def test_minerva2_integer_and_real_rho_agree():

@@ -241,6 +241,7 @@ def test_bad_usage_exits_with_one(capsys, monkeypatch):
     [
         (["--memory", "mhn", "--beta", "-1"], "beta must be nonnegative"),
         (["--memory", "minerva2", "--rho", "2"], "integer rho must be odd"),
+        (["--memory", "mhn", "--beta", "inf"], "beta must be finite"),
     ],
 )
 def test_bad_memory_parameters_exit_before_evaluating(mode, flags, message, capsys, monkeypatch):

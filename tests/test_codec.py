@@ -16,7 +16,7 @@ THRESH = Thresholds()
 
 def fresh(seed=0):
     reg = AtomRegistry(DIM, seed=seed)
-    return reg, TagSet.from_coords(reg.coords), CleanupMemory(DIM)
+    return reg, TagSet.of(reg), CleanupMemory(DIM)
 
 
 def test_tagset_is_deterministic_per_registry():
@@ -25,12 +25,18 @@ def test_tagset_is_deterministic_per_registry():
     assert np.array_equal(tags1.phi, tags2.phi)
     assert tags1.left is reg1.coords("#L")
     assert tags2.nil is reg2.coords("NIL")
+    # Registries of one (seed, dim) share their atoms, and so one tag set.
+    assert tags1 is tags2
+    for other in (AtomRegistry(DIM, seed=4), AtomRegistry(DIM // 2, seed=3)):
+        tags = TagSet.of(other)
+        assert tags is not tags1 and tags.left is other.coords("#L")
+    assert TagSet.of(reg1).left is tags1.left
 
 
 def test_cons_vec_matches_the_role_binding_formula():
     for dim in (64, 257, 2048):
         reg = AtomRegistry(dim, seed=dim)
-        tags = TagSet.from_coords(reg.coords)
+        tags = TagSet.of(reg)
         a, b, c = (reg.coords(n) for n in "ABC")
         key = codec.cons_vec(c, c, tags)
         other = hrr.to_coords(np.random.default_rng(dim).normal(0.0, 1.0 / np.sqrt(dim), dim))

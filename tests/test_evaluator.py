@@ -142,6 +142,38 @@ def test_an_odd_dim_session_agrees_with_the_oracle():
     assert set(disagree) <= {"recursive-last"}, disagree
 
 
+def test_sessions_answer_alike_with_atoms_drawn_afresh_or_from_the_store(monkeypatch):
+    from veclisp import corpus
+
+    draws = []
+    vector = hrr.AtomRegistry.vector
+    monkeypatch.setattr(hrr.AtomRegistry, "vector", lambda reg, name: draws.append(name) or vector(reg, name))
+
+    def corpus_pass(cold):
+        seen = []
+        for name, texts in corpus.PROGRAMS:
+            if cold:
+                hrr._atoms.clear()  # every session draws every atom it names
+            sess = EvalSession(SessionConfig())
+            for text in texts:
+                sess.branch_log = []
+                try:
+                    got = run(sess, text)
+                except EvalError as exc:
+                    got = repr(exc)
+                seen.append((name, got, sess.steps, sess.branch_log))
+            seen.append([key.tobytes() for key in sess.pairs.keys])
+        return seen
+
+    cold = corpus_pass(cold=True)
+    drawn = len(draws)
+    assert corpus_pass(cold=False) == cold
+    # The cold sessions drew their names again and again; the warm pass drew
+    # each name at most once, and only those the last clear let go.
+    warm = draws[drawn:]
+    assert len(set(draws[:drawn])) < drawn and len(set(warm)) == len(warm) < drawn
+
+
 def test_similarities_of_read_only_operands_are_computed_once(monkeypatch):
     sess = fresh()
     a, b = sess.encode(Atom("A")), sess.encode(Atom("B"))

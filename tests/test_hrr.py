@@ -492,17 +492,63 @@ def test_registry_coords_are_converted_once_read_only_one_object_per_name():
     assert not x.flags.writeable
     with pytest.raises(ValueError):
         x[0] = 0.0
-    # Threads converting the same names at once still get one object per name.
+    # Threads of two registries converting the same names at once still get
+    # one object per name: each registry's own, and the store's.
+    hrr._atoms.clear()
+    regs = [reg, AtomRegistry(256, seed=17)]
     names = [f"B{i}" for i in range(50)]
+    calls = [(r, name) for name in names * 4 for r in regs]
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         with ThreadPoolExecutor(max_workers=4) as pool:
-            got = list(pool.map(reg.coords, names * 4, timeout=60))
+            got = list(pool.map(lambda call: call[0].coords(call[1]), calls, timeout=60))
     finally:
         sys.setswitchinterval(interval)
-    for i, name in enumerate(names):
-        assert all(y is reg.coords(name) and reg.name(y) == name for y in got[i :: len(names)])
+    for (r, name), y in zip(calls, got):
+        assert y is r.coords(name) and r.name(y) == name
+        assert y is regs[0].coords(name) and y is hrr._atoms[(17, 256, name)]
+
+
+def test_registries_of_one_seed_and_dim_share_each_atom():
+    hrr._atoms.clear()
+    draws = []
+    first, second = AtomRegistry(128, seed=22), AtomRegistry(128, seed=22)
+    vector = first.vector
+    first.vector = second.vector = lambda name: draws.append(name) or vector(name)
+    names = ["A", "NIL", "#L", "#G3"]
+    held = [first.coords(name) for name in names]
+    for name, x in zip(names, held):
+        assert second.coords(name) is x and hrr._atoms[(22, 128, name)] is x
+        assert not x.flags.writeable and x.tobytes() == hrr.to_coords(vector(name)).tobytes()
+    assert draws == names and len(hrr._atoms) == len(names)  # drawn once, for the first registry
+    # Each registry holds, names and scans only the atoms it was asked for.
+    first.coords("B")
+    assert len(first) == len(names) + 1 and len(second) == len(names) and "B" not in second
+    # Another seed or dim is another atom.
+    for other in (AtomRegistry(128, seed=23), AtomRegistry(127, seed=22)):
+        x = other.coords("A")
+        assert x is not held[0] and not np.array_equal(x[:127], held[0][:127])
+
+
+def test_the_atom_store_holds_at_most_its_bound():
+    from veclisp.evaluator import EvalSession, SessionConfig
+
+    hrr._atoms.clear()
+    reg = EvalSession(SessionConfig(dim=64, seed=31)).registry
+    fixed = len(reg)  # the reserved and builtin names
+    held = {}
+    largest = 0
+    for i in range(10_000):
+        held[f"X{i}"] = reg.coords(f"X{i}")
+        largest = max(largest, len(hrr._atoms))
+    assert largest == hrr.ATOM_STORE_SIZE == len(hrr._atoms)
+    # The registry keeps its own atoms; the store keeps those used last.
+    assert len(reg) == fixed + 10_000 and all(reg.coords(name) is x for name, x in held.items())
+    assert (31, 64, "X9999") in hrr._atoms and (31, 64, "X0") not in hrr._atoms
+    # A name the store let go is drawn again, bitwise the same.
+    again = AtomRegistry(64, seed=31).coords("X0")
+    assert again is not held["X0"] and again.tobytes() == held["X0"].tobytes()
 
 
 def test_registry_names_held_coords_by_id_and_others_by_nearest_atom():
