@@ -1,10 +1,9 @@
 """Benchmarks emitting deterministic tab-separated reports.
 
 Every report starts with a comment block of key=value lines capturing the full
-configuration, so identical configurations diff clean.  The three benches:
-``capacity`` (recall accuracy versus trace count per memory kind), ``kanerva``
-(the permutation-based list encoding and its self-retrieval flaw), and
-``update_rules`` (interference of the softmax-gated write rule across gamma).
+configuration, so identical configurations diff clean.  The two benches:
+``capacity`` (recall accuracy versus trace count per memory kind) and
+``kanerva`` (the permutation-based list encoding and its self-retrieval flaw).
 """
 from __future__ import annotations
 
@@ -15,18 +14,14 @@ from .cleanup import CleanupMemory, ConvergenceError
 from .evaluator import SessionConfig
 from .hrr import Permutation
 
-__all__ = ["BENCH_KINDS", "run_capacity", "run_kanerva", "run_update_rules", "run_bench"]
+__all__ = ["BENCH_KINDS", "run_capacity", "run_kanerva", "run_bench"]
 
-BENCH_KINDS = ("capacity", "kanerva", "update_rules")
+BENCH_KINDS = ("capacity", "kanerva")
 
 CAPACITY_MEMORY_KINDS = ("lookup", "mhn", "minerva2", "hopfield", "grossberg")
 CAPACITY_COUNTS = (16, 64, 256, 1024, 10000)
 CAPACITY_PROBES = 64
 KANERVA_LISTS = 50
-UPDATE_GAMMAS = (0.0, 1.0, 10.0, 100.0, 1000.0)
-UPDATE_ROWS = 64
-UPDATE_ALPHA = 1.0
-UPDATE_ETA = 0.1
 
 
 def _header(kind: str, config: SessionConfig, extra: dict[str, object]) -> list[str]:
@@ -127,62 +122,9 @@ def run_kanerva(config: SessionConfig, list_count: int = KANERVA_LISTS) -> str:
     return "\n".join(lines) + "\n"
 
 
-def run_update_rules(
-    config: SessionConfig,
-    gammas: tuple[float, ...] = UPDATE_GAMMAS,
-    rows: int = UPDATE_ROWS,
-) -> str:
-    """One write step per rule: how far the targeted row moves versus the rest.
-
-    The store is probed at row 0 and every row's gradient pulls it toward a
-    fresh target pattern, so an ungated rule disturbs everything while the
-    gated ones concentrate the write.
-    """
-    rng = np.random.default_rng((config.seed, "update".encode()))
-    base = _unit_rows(rng, rows, config.dim)
-    target = _unit_rows(rng, 1, config.dim)[0]
-    probe = base[0].copy()
-    grad = base - target[None, :]
-
-    lines = _header(
-        "update_rules",
-        config,
-        {"alpha": UPDATE_ALPHA, "eta": UPDATE_ETA, "rows": rows, "gammas": ",".join(f"{g:g}" for g in gammas)},
-    )
-    lines.append("rule\tgamma\ttarget_delta\tothers_delta\trecall_sim_target")
-
-    def one(rule: str, gamma: float | None) -> str:
-        # Only RE reads gamma; the RC and RG rows leave it at its default.
-        mem = CleanupMemory(
-            config.dim,
-            "lookup",
-            beta=config.beta,
-            rho=config.rho,
-            alpha=UPDATE_ALPHA,
-            eta=UPDATE_ETA,
-            **({} if gamma is None else {"gamma": gamma}),
-        )
-        mem.extend(base.copy())
-        mem.apply_update(probe, grad, rule)  # type: ignore[arg-type]
-        after = mem.traces
-        target_delta = float(np.linalg.norm(after[0] - base[0]))
-        others_delta = float(np.linalg.norm(after[1:] - base[1:]))
-        recall_sim = hrr.similarity(mem.recall_lookup(probe), target)
-        g = "-" if gamma is None else f"{gamma:g}"
-        return f"{rule}\t{g}\t{target_delta:.12f}\t{others_delta:.12f}\t{recall_sim:.6f}"
-
-    for gamma in gammas:
-        lines.append(one("RE", gamma))
-    lines.append(one("RC", None))
-    lines.append(one("RG", None))
-    return "\n".join(lines) + "\n"
-
-
 def run_bench(kind: str, config: SessionConfig) -> str:
     if kind == "capacity":
         return run_capacity(config)
     if kind == "kanerva":
         return run_kanerva(config)
-    if kind == "update_rules":
-        return run_update_rules(config)
     raise ValueError(f"unknown bench kind {kind!r}")

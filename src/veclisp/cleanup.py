@@ -11,7 +11,6 @@ and screens shortlists through a float32 copy of its rows.
 from __future__ import annotations
 
 import math
-from typing import Literal
 
 import numpy as np
 
@@ -96,8 +95,10 @@ class CleanupMemory:
     bytes through an index of row hashes, without a scan, and ``append``
     stores a trace only when ``find`` finds no row with its bytes, so
     repeated stores do not grow the matrix; ``extend`` stores rows exactly as
-    given.  ``beta`` must be finite and nonnegative and an integer ``rho`` odd, whatever
-    the kind; the constructor checks both.
+    given.  ``extend`` is the only code that writes rows, so a row never
+    changes once stored.  Whatever the kind, ``beta`` must be finite and
+    nonnegative and ``rho`` finite, positive and, if an integer, odd; the
+    constructor checks both.
 
     ``shortlist`` is screened through a float32 copy of the rows, which costs
     4 bytes per stored coordinate on top of the 8 of the float64 rows.  A
@@ -122,9 +123,6 @@ class CleanupMemory:
         *,
         beta: float = 1000.0,
         rho: int | float = 3,
-        gamma: float = 1000.0,
-        alpha: float = 1.0,
-        eta: float = 0.1,
     ) -> None:
         if kind not in KINDS:
             raise ValueError(f"unknown memory kind {kind!r}")
@@ -136,13 +134,12 @@ class CleanupMemory:
             raise ValueError("beta must be finite")
         if isinstance(rho, (int, np.integer)) and not isinstance(rho, bool) and rho % 2 == 0:
             raise ValueError("integer rho must be odd")
+        if not 0 < rho < math.inf:  # NaN fails too; at rho <= 0 weights stop growing with activation
+            raise ValueError("rho must be finite and positive")
         self.dim = int(dim)
         self.kind = kind
         self.beta = float(beta)
         self.rho = rho
-        self.gamma = float(gamma)
-        self.alpha = float(alpha)
-        self.eta = float(eta)
         self._buf = np.empty((16, dim))
         self._buf32 = np.empty((16, dim), dtype=np.float32)
         # Norms of the float64 rows, whatever dtype a caller stored: the
@@ -314,30 +311,3 @@ class CleanupMemory:
             raise EmptyMemoryError("degenerate grossberg recall of a zero state")
         z = v / l1
         return 1.0 / (1.0 + np.exp(-z))
-
-    # -- updates ------------------------------------------------------------
-
-    def apply_update(self, p: Vector, grad: Vector, rule: Literal["RC", "RG", "RE"]) -> "CleanupMemory":
-        """One gradient step on the stored rows.
-
-        ``grad`` must have one row per trace; the caller owns its meaning.
-        RC applies it everywhere, RG gates it to the hardmax row, RE scales
-        row i by alpha * softmax(gamma * activations)[i].
-        """
-        self._require_nonempty()
-        grad = np.asarray(grad)
-        if grad.shape != (self._m, self.dim):
-            raise ValueError(f"grad shape {grad.shape} does not match store ({self._m}, {self.dim})")
-        if rule == "RC":
-            self._buf[: self._m] -= self.eta * grad
-        elif rule == "RG":
-            i = self.nearest(p)
-            self._buf[i] -= self.eta * grad[i]
-        elif rule == "RE":
-            w = self.alpha * _softmax(self.gamma * self.activations(p))
-            self._buf[: self._m] -= self.eta * w[:, None] * grad
-        else:
-            raise ValueError(f"unknown update rule {rule!r}")
-        self._index = {}
-        self._mirror(0, self._m)
-        return self

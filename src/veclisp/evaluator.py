@@ -9,7 +9,8 @@ identity, exact bytes or highest cosine, or raises; CONS interns into it, CAR
 and CDR read from it, and decode and relabel are one fold over it, so
 evaluation builds no tree.  A flat cleanup memory holds NIL, T and F for
 ATOM's truth snap, which under ``lookup`` returns the held tag and recalls
-only on a near tie; a function definition is the table row of its
+only on a near tie; a session rejects ``grossberg``, whose recall returns no
+stored row.  A function definition is the table row of its
 ``cons(name, body)`` key.  Similarities between two read-only vectors, which
 the session holds and never changes, are computed once and kept while the
 session holds both.  On entry, once the table has outgrown the rows its last
@@ -88,6 +89,8 @@ class EvalSession:
     def __init__(self, config: SessionConfig | None = None) -> None:
         self.config = config or SessionConfig()
         c = self.config
+        if c.memory_kind == "grossberg":
+            raise ValueError("sessions cannot use grossberg memory: its recall is never a stored row")
         self.thresholds = Thresholds(c.theta_up, c.theta_down)
         self.registry = AtomRegistry(c.dim, c.seed)
         self.tags = TagSet.of(self.registry)

@@ -13,20 +13,16 @@ def rows(report):
 
 
 def test_every_report_starts_with_the_config_block():
-    for kind in ("kanerva", "update_rules"):
-        report = bench.run_bench(kind, CFG)
+    capacity = bench.run_capacity(CFG, counts=(8,), kinds=("lookup",), probes=4)
+    for kind, report in (("kanerva", bench.run_bench("kanerva", CFG)), ("capacity", capacity)):
         lines = report.splitlines()
         assert lines[0] == "# veclisp bench report"
         assert lines[1] == f"# bench={kind}"
         assert "# dim=256" in lines and "# seed=13" in lines
-        # Only update_rules writes, with its fixed step constants.
-        assert ("# alpha=1.0" in lines and "# eta=0.1" in lines) == (kind == "update_rules")
-        assert any(ln.startswith("# alpha=") for ln in lines) == (kind == "update_rules")
 
 
 def test_reports_repeat_byte_for_byte():
-    for kind in ("kanerva", "update_rules"):
-        assert bench.run_bench(kind, CFG) == bench.run_bench(kind, CFG)
+    assert bench.run_bench("kanerva", CFG) == bench.run_bench("kanerva", CFG)
     small = dict(counts=(8, 16), kinds=("lookup", "mhn"), probes=8)
     assert bench.run_capacity(CFG, **small) == bench.run_capacity(CFG, **small)
 
@@ -52,16 +48,3 @@ def test_stored_sublists_always_win_their_own_retrieval():
         assert row["self_nn"] == "1"
         # The head is buried under the permuted tail, not retrievable directly.
         assert float(row["sim_self"]) > float(row["sim_head"])
-
-
-def test_update_rules_concentrate_the_write_as_gamma_grows():
-    report = bench.run_update_rules(CFG)
-    by_rule = {}
-    for row in rows(report):
-        by_rule[(row["rule"], row["gamma"])] = row
-    assert float(by_rule[("RG", "-")]["others_delta"]) == 0.0
-    assert float(by_rule[("RC", "-")]["others_delta"]) > 0.0
-    spread = float(by_rule[("RE", "0")]["others_delta"])
-    focused = float(by_rule[("RE", "1000")]["others_delta"])
-    assert spread > 0.0
-    assert focused < spread / 1e3

@@ -1,6 +1,5 @@
 """Cleanup memory tests: storage and its float32 screen, recall per kind, the
-limit identities between kinds, the constructor's parameter checks, and the
-update rules."""
+limit identities between kinds, and the constructor's parameter checks."""
 import numpy as np
 import pytest
 
@@ -280,11 +279,11 @@ def mirrored(memory):
     assert {key: sorted(ix) for key, ix in memory._index.items()} == index
 
 
-def test_mirror_follows_updates_and_copies():
+def test_mirror_follows_appends_and_copies():
     rng = np.random.default_rng(25)
     n = 512
     m = 70
-    mem = filled(rng, m=m, n=n, eta=1.0)
+    mem = filled(rng, m=m, n=n)
     mirrored(mem)
 
     def agrees(target, memory):
@@ -294,30 +293,16 @@ def test_mirror_follows_updates_and_copies():
         assert memory.traces[memory.shortlist(p, 1)[0]].tobytes() == want.tobytes()
         mirrored(memory)
 
-    # RC moves every row onto another row's old place; a stale mirror would
-    # still pick the old places.
-    before = mem.traces.copy()
-    perm = np.roll(np.arange(m), 1)
-    mem.apply_update(before[0], before - before[perm], "RC")
     for i in range(m):
-        agrees(before[perm[i]], mem)
-    # RG rewrites the selected row alone.
-    new = unit_rows(rng, 1, n)[0]
-    grad = np.zeros((m, n))
-    grad[4] = mem.traces[4] - new
-    mem.apply_update(mem.traces[4], grad, "RG")
-    agrees(new, mem)
-    assert np.allclose(mem.recall_lookup(new), new)
+        agrees(mem.traces[i], mem)
     back = CleanupMemory(n).extend(mem.traces)
     for i in range(m):
         agrees(mem.traces[i], back)
     back.extend(unit_rows(rng, 80, n))  # past the copy's capacity
     for i in range(m + 80):
         agrees(back.traces[i], back)
-    # RE reweights every row; single appends, float32 ones among them, grow
-    # the store past its capacity one row at a time.
-    mem.apply_update(mem.traces[3], rng.normal(0.0, 0.1, (m, n)), "RE")
-    agrees(mem.traces[3], mem)
+    # Single appends, float32 ones among them, grow the store past its
+    # capacity one row at a time.
     for i, row in enumerate(unit_rows(rng, 70, n)):
         mem.append(row.astype(np.float32) if i % 3 == 0 else row)
         mirrored(mem)
@@ -389,10 +374,14 @@ def test_minerva2_integer_and_real_rho_agree():
 
 
 def test_minerva2_rejects_even_integer_rho():
-    # Checked once, at construction, whatever the kind; a real rho may be even.
+    # Checked once, at construction, whatever the kind; a real rho may be even,
+    # but no rho may be infinite, NaN or at most 0.  Parity is checked first.
     for kind in KINDS:
         for rho in (2, 0, -4, np.int64(4)):
             with pytest.raises(ValueError, match="integer rho must be odd"):
+                CleanupMemory(32, kind, rho=rho)
+        for rho in (float("inf"), float("nan"), -1, -1.5, 0.0):
+            with pytest.raises(ValueError, match="rho must be finite and positive"):
                 CleanupMemory(32, kind, rho=rho)
     rng = np.random.default_rng(9)
     out = filled(rng, m=3, n=32, kind="minerva2", rho=2.0).recall_minerva2(np.ones(32))
@@ -453,52 +442,3 @@ def test_recall_dispatches_by_kind():
         mem.extend(rows)
         direct = getattr(mem, f"recall_{kind}")(probe)
         assert np.array_equal(mem.recall(probe), direct)
-
-
-# -- update rules -----------------------------------------------------------------
-
-
-def test_update_rc_shifts_every_row():
-    rng = np.random.default_rng(15)
-    mem = filled(rng, m=6, n=32, eta=0.5)
-    before = mem.traces.copy()
-    grad = rng.normal(0.0, 1.0, (6, 32))
-    mem.apply_update(before[0], grad, "RC")
-    assert np.array_equal(mem.traces, before - 0.5 * grad)
-
-
-def test_update_rg_touches_only_the_selected_row():
-    rng = np.random.default_rng(16)
-    mem = filled(rng, m=6, n=32, eta=0.25)
-    before = mem.traces.copy()
-    grad = rng.normal(0.0, 1.0, (6, 32))
-    mem.apply_update(before[3], grad, "RG")
-    for i in range(6):
-        if i == 3:
-            assert np.array_equal(mem.traces[i], before[i] - 0.25 * grad[i])
-        else:
-            assert np.array_equal(mem.traces[i], before[i])
-
-
-def test_update_re_uses_softmax_weights():
-    rng = np.random.default_rng(17)
-    mem = filled(rng, m=6, n=32, gamma=2.0, alpha=3.0, eta=0.5)
-    before = mem.traces.copy()
-    probe = before[1]
-    grad = rng.normal(0.0, 1.0, (6, 32))
-    mem.apply_update(probe, grad, "RE")
-    acts = before @ probe
-    z = np.exp(2.0 * acts - (2.0 * acts).max())
-    w = 3.0 * z / z.sum()
-    assert np.allclose(mem.traces, before - 0.5 * w[:, None] * grad, atol=1e-12)
-
-
-def test_update_validates_grad_shape_and_rule():
-    rng = np.random.default_rng(18)
-    mem = filled(rng, m=4, n=32)
-    with pytest.raises(ValueError):
-        mem.apply_update(mem.traces[0], np.zeros((3, 32)), "RC")
-    with pytest.raises(ValueError):
-        mem.apply_update(mem.traces[0], np.zeros((4, 32)), "RX")
-    with pytest.raises(EmptyMemoryError):
-        CleanupMemory(32).apply_update(np.zeros(32), np.zeros((0, 32)), "RC")

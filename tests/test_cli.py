@@ -190,7 +190,7 @@ def test_bench_report_goes_to_stdout_and_repeats_byte_for_byte(capsys):
 
 def test_bench_out_writes_the_same_report_to_a_file(tmp_path, capsys):
     target = tmp_path / "report.tsv"
-    argv = ["bench", "update_rules", "--dim", "128", "--seed", "9"]
+    argv = ["bench", "kanerva", "--dim", "128", "--seed", "9"]
     code, out, _ = call(argv, capsys)
     code2, out2, _ = call(argv + ["--out", str(target)], capsys)
     assert code == code2 == 0
@@ -203,9 +203,9 @@ def test_bench_out_writes_the_same_report_to_a_file(tmp_path, capsys):
 
 def test_environment_supplies_defaults_and_flags_win(capsys, monkeypatch):
     monkeypatch.setenv("VECLISP_DIM", "128")
-    code, out, _ = call(["bench", "update_rules"], capsys)
+    code, out, _ = call(["bench", "kanerva"], capsys)
     assert code == 0 and "# dim=128\n" in out
-    code, out, _ = call(["bench", "update_rules", "--dim", "192"], capsys)
+    code, out, _ = call(["bench", "kanerva", "--dim", "192"], capsys)
     assert code == 0 and "# dim=192\n" in out
 
 
@@ -213,7 +213,7 @@ def test_unreadable_environment_value_is_a_user_error(capsys, monkeypatch):
     # argparse checks ``choices`` against flags only, so the memory kind is checked as it is read.
     for name, raw in (("DIM", "potato"), ("MEMORY", "bogus")):
         monkeypatch.setenv(f"VECLISP_{name}", raw)
-        code, out, err = call(["bench", "update_rules"], capsys)
+        code, out, err = call(["bench", "kanerva"], capsys)
         assert code == 1 and out == ""
         assert f"bad value '{raw}' for VECLISP_{name}" in err
         monkeypatch.delenv(f"VECLISP_{name}")
@@ -230,6 +230,7 @@ def test_boolean_environment_toggle_and_negating_flag(capsys, monkeypatch):
 
 def test_bad_usage_exits_with_one(capsys, monkeypatch):
     assert call(["bench", "nonsense"], capsys)[0] == 1
+    assert call(["bench", "update_rules"], capsys)[0] == 1  # a deleted bench
     assert call([], capsys)[0] == 1
     for flag in ("--alpha", "--eta", "--max-iters", "--tol"):  # deleted session flags
         assert call(["run", "-", "--dim", "128", flag, "5"], capsys, monkeypatch, stdin="(QUOTE A)\n")[0] == 1
@@ -242,6 +243,8 @@ def test_bad_usage_exits_with_one(capsys, monkeypatch):
         (["--memory", "mhn", "--beta", "-1"], "beta must be nonnegative"),
         (["--memory", "minerva2", "--rho", "2"], "integer rho must be odd"),
         (["--memory", "mhn", "--beta", "inf"], "beta must be finite"),
+        (["--memory", "minerva2", "--rho", "inf"], "rho must be finite and positive"),
+        (["--memory", "grossberg"], "sessions cannot use grossberg memory: its recall is never a stored row"),
     ],
 )
 def test_bad_memory_parameters_exit_before_evaluating(mode, flags, message, capsys, monkeypatch):
