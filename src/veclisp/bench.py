@@ -1,7 +1,7 @@
 """Benchmarks emitting deterministic tab-separated reports.
 
-Every report starts with a comment block of key=value lines capturing the full
-configuration, so identical configurations diff clean.  The two benches:
+Every report starts with a comment block of key=value lines: the settings
+that its report reads, so identical settings diff clean.  The two benches:
 ``capacity`` (recall accuracy versus trace count per memory kind) and
 ``kanerva`` (the permutation-based list encoding and its self-retrieval flaw).
 """
@@ -10,15 +10,15 @@ from __future__ import annotations
 import numpy as np
 
 from . import hrr
-from .cleanup import CleanupMemory, ConvergenceError
+from .cleanup import KINDS, CleanupMemory, ConvergenceError
 from .evaluator import SessionConfig
 from .hrr import Permutation
 
 __all__ = ["BENCH_KINDS", "run_capacity", "run_kanerva", "run_bench"]
 
-BENCH_KINDS = ("capacity", "kanerva")
+# Each bench kind and the ``SessionConfig`` fields its report reads.
+BENCH_KINDS = {"capacity": ("dim", "seed", "beta", "rho"), "kanerva": ("dim", "seed")}
 
-CAPACITY_MEMORY_KINDS = ("lookup", "mhn", "minerva2", "hopfield", "grossberg")
 CAPACITY_COUNTS = (16, 64, 256, 1024, 10000)
 CAPACITY_PROBES = 64
 KANERVA_LISTS = 50
@@ -26,18 +26,8 @@ KANERVA_LISTS = 50
 
 def _header(kind: str, config: SessionConfig, extra: dict[str, object]) -> list[str]:
     lines = ["# veclisp bench report", f"# bench={kind}"]
-    fields = {
-        "dim": config.dim,
-        "seed": config.seed,
-        "theta_up": config.theta_up,
-        "theta_down": config.theta_down,
-        "memory_kind": config.memory_kind,
-        "beta": config.beta,
-        "rho": config.rho,
-        "step_limit": config.step_limit,
-    }
-    fields.update(extra)
-    lines.extend(f"# {key}={value}" for key, value in fields.items())
+    lines.extend(f"# {field}={getattr(config, field)}" for field in BENCH_KINDS[kind])
+    lines.extend(f"# {key}={value}" for key, value in extra.items())
     return lines
 
 
@@ -49,7 +39,7 @@ def _unit_rows(rng: np.random.Generator, m: int, n: int) -> np.ndarray:
 def run_capacity(
     config: SessionConfig,
     counts: tuple[int, ...] = CAPACITY_COUNTS,
-    kinds: tuple[str, ...] = CAPACITY_MEMORY_KINDS,
+    kinds: tuple[str, ...] = KINDS,
     probes: int = CAPACITY_PROBES,
 ) -> str:
     """Clean-probe recall accuracy for each memory kind at growing store sizes."""
@@ -123,6 +113,8 @@ def run_kanerva(config: SessionConfig, list_count: int = KANERVA_LISTS) -> str:
 
 
 def run_bench(kind: str, config: SessionConfig) -> str:
+    if config.dim <= 0:
+        raise ValueError("dim must be positive")
     if kind == "capacity":
         return run_capacity(config)
     if kind == "kanerva":

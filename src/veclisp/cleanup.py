@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .hrr import Vector, _dots, bytes_key
+from .hrr import DegenerateVector, Vector, _dots, bytes_key
 
 __all__ = [
     "KINDS",
@@ -280,7 +280,8 @@ class CleanupMemory:
 
         An integer ``rho``, odd by construction, is applied as a plain power;
         a real ``rho`` uses the sign-preserving form sgn(x)|x|^rho, which
-        agrees with the integer path at odd integers.
+        agrees with the integer path at odd integers.  A recall whose squared
+        norm underflows to zero, as at a large ``rho``, raises ``DegenerateVector``.
         """
         acts = self.activations(p)
         r = self.rho
@@ -288,7 +289,10 @@ class CleanupMemory:
             w = acts ** int(r)
         else:
             w = np.sign(acts) * np.abs(acts) ** float(r)
-        return w @ self.traces
+        out = w @ self.traces
+        if out @ out == 0.0:
+            raise DegenerateVector(f"minerva2 recall underflowed to zero at rho={r}")
+        return out
 
     def recall_hopfield(self, p: Vector) -> Vector:
         """Iterate the hardmax recall step until the iterate stops moving."""

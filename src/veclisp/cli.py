@@ -1,16 +1,15 @@
 """Command line interface: REPL, script runner and benchmark reports.
 
-Configuration comes from flags, with ``VECLISP_``-prefixed environment
-variables as fallback defaults; flags win.  Exit codes: 0 on success, 1 for
-user errors (bad input, evaluation errors, any oracle mismatch), 2 for
-internal failures.
+Each setting comes from one flag, which defaults to ``SessionConfig()``'s
+value, on the subcommands that read it.  Exit codes: 0 on success, 1 for user
+errors (bad input, evaluation errors, any oracle mismatch), 2 for internal
+failures.
 """
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from typing import Callable, TextIO
+from collections.abc import Iterable
 
 from . import bench, codec, oracle, reader
 from .cleanup import KINDS, ConvergenceError, EmptyMemoryError
@@ -19,8 +18,6 @@ from .hrr import DegenerateVector, DimensionMismatch
 from .reader import Atom, Pair, ParseError, SExpr
 
 __all__ = ["main"]
-
-ENV_PREFIX = "VECLISP_"
 
 USER_ERRORS = (
     ParseError,
@@ -36,44 +33,25 @@ USER_ERRORS = (
 )
 
 
-def _env_raw(name: str) -> str | None:
-    return os.environ.get(ENV_PREFIX + name)
-
-
-def _env(name: str, default, cast: Callable[[str], object]):
-    raw = _env_raw(name)
-    if raw is None:
-        return default
-    try:
-        return cast(raw)
-    except ValueError:
-        raise ValueError(f"bad value {raw!r} for {ENV_PREFIX}{name}") from None
-
-
-def _env_bool(name: str, default: bool) -> bool:
-    raw = _env_raw(name)
-    if raw is None:
-        return default
-    text = raw.strip().lower()
-    if text in ("1", "true", "yes", "on"):
-        return True
-    if text in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"bad value {raw!r} for {ENV_PREFIX}{name}")
-
-
-def _memory_kind(text: str) -> str:
-    if text not in KINDS:
-        raise ValueError(f"unknown memory kind {text!r}")
-    return text
-
-
 def _parse_rho(text: str) -> int | float:
     """"3" stays an integer (exact odd-power path), "3.0" goes real."""
     try:
         return int(text)
     except ValueError:
         return float(text)
+
+
+# Each ``SessionConfig`` field's flag and argparse keywords; its default is ``SessionConfig()``'s.
+SETTINGS = {
+    "dim": ("--dim", {"type": int}),
+    "seed": ("--seed", {"type": int}),
+    "theta_up": ("--theta-up", {"type": float}),
+    "theta_down": ("--theta-down", {"type": float}),
+    "memory_kind": ("--memory", {"choices": KINDS, "help": "cleanup memory kind"}),
+    "beta": ("--beta", {"type": float}),
+    "rho": ("--rho", {"type": _parse_rho}),
+    "step_limit": ("--step-limit", {"type": int}),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -85,62 +63,44 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _build_parser() -> _Parser:
-    common = argparse.ArgumentParser(add_help=False)
-    g = common.add_argument_group("session")
-    g.add_argument("--dim", type=int, default=_env("DIM", 2048, int))
-    g.add_argument("--seed", type=int, default=_env("SEED", 1729, int))
-    g.add_argument("--theta-up", type=float, default=_env("THETA_UP", 0.8, float))
-    g.add_argument("--theta-down", type=float, default=_env("THETA_DOWN", 0.2, float))
-    g.add_argument(
-        "--memory", choices=KINDS, default=_env("MEMORY", "lookup", _memory_kind), help="cleanup memory kind"
-    )
-    g.add_argument("--beta", type=float, default=_env("BETA", 1000.0, float))
-    g.add_argument("--rho", type=_parse_rho, default=_env("RHO", 3, _parse_rho))
-    g.add_argument("--step-limit", type=int, default=_env("STEP_LIMIT", 100_000, int))
-    g.add_argument(
-        "--trace",
-        action=argparse.BooleanOptionalAction,
-        default=_env_bool("TRACE", False),
-        help="log each driver dispatch to stderr",
-    )
+def _settings(parser: argparse.ArgumentParser, fields: Iterable[str]) -> argparse._ArgumentGroup:
+    """Give ``parser`` the flags of ``fields``, each defaulting to ``SessionConfig()``'s value."""
+    group = parser.add_argument_group("session")
+    defaults = SessionConfig()
+    for field in fields:
+        flag, keywords = SETTINGS[field]
+        group.add_argument(flag, dest=field, default=getattr(defaults, field), **keywords)
+    return group
 
-    checked = argparse.ArgumentParser(add_help=False)
-    checked.add_argument(
-        "--oracle-check",
-        action=argparse.BooleanOptionalAction,
-        default=_env_bool("ORACLE_CHECK", False),
-        help="run the symbolic oracle alongside and compare",
-    )
+
+def _build_parser() -> _Parser:
+    session = argparse.ArgumentParser(add_help=False)
+    switch = {"action": argparse.BooleanOptionalAction, "default": False}
+    _settings(session, SETTINGS).add_argument("--trace", **switch, help="log each driver dispatch to stderr")
+    session.add_argument("--oracle-check", **switch, help="run the symbolic oracle alongside and compare")
 
     parser = _Parser(prog="veclisp", description="A Lisp whose expressions are vectors.")
     sub = parser.add_subparsers(dest="mode", required=True)
 
-    p_repl = sub.add_parser("repl", parents=[common, checked], help="interactive session")
+    p_repl = sub.add_parser("repl", parents=[session], help="interactive session")
     p_repl.set_defaults(func=_cmd_repl)
 
-    p_run = sub.add_parser("run", parents=[common, checked], help="evaluate a script")
+    p_run = sub.add_parser("run", parents=[session], help="evaluate a script")
     p_run.add_argument("path", help="script of s-expressions, or - for stdin")
     p_run.set_defaults(func=_cmd_run)
 
-    p_bench = sub.add_parser("bench", parents=[common], help="emit a benchmark report")
-    p_bench.add_argument("kind", choices=bench.BENCH_KINDS)
-    p_bench.add_argument("--out", default=None, help="report path (default stdout)")
-    p_bench.set_defaults(func=_cmd_bench)
+    p_bench = sub.add_parser("bench", help="emit a benchmark report")
+    kinds = p_bench.add_subparsers(dest="kind", required=True)
+    for kind, fields in bench.BENCH_KINDS.items():
+        p_kind = kinds.add_parser(kind)
+        _settings(p_kind, fields)
+        p_kind.add_argument("--out", default=None, help="report path (default stdout)")
+        p_kind.set_defaults(func=_cmd_bench)
     return parser
 
 
 def _session_config(args: argparse.Namespace) -> SessionConfig:
-    return SessionConfig(
-        dim=args.dim,
-        seed=args.seed,
-        theta_up=args.theta_up,
-        theta_down=args.theta_down,
-        memory_kind=args.memory,
-        beta=args.beta,
-        rho=args.rho,
-        step_limit=args.step_limit,
-    )
+    return SessionConfig(**{field: getattr(args, field) for field in SETTINGS if hasattr(args, field)})
 
 
 def _new_session(args: argparse.Namespace) -> EvalSession:

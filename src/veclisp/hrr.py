@@ -204,17 +204,20 @@ class AtomRegistry:
         """Name and cosine similarity of the held atom whose coordinates are most similar to ``x``.
 
         Held coordinates themselves, bitwise, are found without a scan and
-        score 1.0; ties in a scan go to the atom drawn first.
+        score 1.0; ties in a scan go to the atom drawn first.  A vector of
+        zero norm is like no atom, so it raises ``DegenerateVector``.
         """
         if not self._coords:
             raise KeyError("empty atom registry")
         name = self._held(x)
         if name is not None:
             return name, 1.0
+        x_norm = np.linalg.norm(x)
+        if x_norm == 0.0:
+            raise DegenerateVector("no atom is nearest a zero vector")
         names, matrix, atom_norms = self._snapshot()
-        norms = atom_norms * np.linalg.norm(x)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            sims = np.where(norms > 0.0, matrix @ x / norms, 0.0)
+        with np.errstate(invalid="ignore"):
+            sims = matrix @ x / (atom_norms * x_norm)
         best = int(np.argmax(sims))
         return names[best], float(sims[best])
 

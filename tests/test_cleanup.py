@@ -396,6 +396,16 @@ def test_minerva2_rho_one_is_the_activation_blend():
     assert np.allclose(out, mem.activations(probe) @ mem.traces)
 
 
+def test_minerva2_recall_that_underflows_to_zero_raises():
+    rng = np.random.default_rng(10)
+    rows = unit_rows(rng, 6, 64)
+    probe = 0.6 * rows[0]  # every activation is at most 0.6 in size
+    for rho in (1001, 1001.0):
+        with pytest.raises(hrr.DegenerateVector, match="underflowed"):
+            CleanupMemory(64, "minerva2", rho=rho).extend(rows).recall_minerva2(probe)
+    assert CleanupMemory(64, "minerva2", rho=101).extend(rows).recall_minerva2(rows[0]) @ rows[0] > 0.0
+
+
 def test_hopfield_converges_to_a_stored_row():
     rng = np.random.default_rng(11)
     mem = filled(rng, m=20, n=256, kind="hopfield")

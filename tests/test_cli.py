@@ -1,4 +1,4 @@
-"""Command line behavior: subcommands, configuration sources, exit codes."""
+"""Command line behavior: subcommands, their flags, exit codes."""
 
 import inspect
 import io
@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from veclisp import bench, cli, codec, oracle
+from veclisp.evaluator import SessionConfig
 from veclisp.reader import Atom, Pair
 
 
@@ -198,42 +199,49 @@ def test_bench_out_writes_the_same_report_to_a_file(tmp_path, capsys):
     assert target.read_text() == out
 
 
-# -- configuration sources and exit codes ---------------------------------------------
+# -- flags and exit codes ---------------------------------------------------------------
 
 
-def test_environment_supplies_defaults_and_flags_win(capsys, monkeypatch):
+@pytest.mark.parametrize("mode", [["run", "-"], ["repl"]])
+def test_session_flags_default_to_the_session_config(mode):
+    args = cli._build_parser().parse_args(mode)
+    assert cli._session_config(args) == SessionConfig()
+    assert args.trace is False and args.oracle_check is False
+
+
+def test_environment_variables_set_nothing(capsys, monkeypatch):
     monkeypatch.setenv("VECLISP_DIM", "128")
     code, out, _ = call(["bench", "kanerva"], capsys)
-    assert code == 0 and "# dim=128\n" in out
-    code, out, _ = call(["bench", "kanerva", "--dim", "192"], capsys)
-    assert code == 0 and "# dim=192\n" in out
+    assert code == 0 and "# dim=2048\n" in out
 
 
-def test_unreadable_environment_value_is_a_user_error(capsys, monkeypatch):
-    # argparse checks ``choices`` against flags only, so the memory kind is checked as it is read.
-    for name, raw in (("DIM", "potato"), ("MEMORY", "bogus")):
-        monkeypatch.setenv(f"VECLISP_{name}", raw)
-        code, out, err = call(["bench", "kanerva"], capsys)
-        assert code == 1 and out == ""
-        assert f"bad value '{raw}' for VECLISP_{name}" in err
-        monkeypatch.delenv(f"VECLISP_{name}")
-
-
-def test_boolean_environment_toggle_and_negating_flag(capsys, monkeypatch):
-    monkeypatch.setenv("VECLISP_TRACE", "yes")
-    code, out, err = call(["run", "-", "--dim", "512"], capsys, monkeypatch, stdin="(QUOTE A)\n")
+def test_no_trace_flag_negates_trace(capsys, monkeypatch):
+    code, out, err = call(["run", "-", "--dim", "512", "--trace"], capsys, monkeypatch, stdin="(QUOTE A)\n")
     assert code == 0 and "head=QUOTE" in err
     monkeypatch.setattr(sys, "stdin", io.StringIO("(QUOTE A)\n"))
-    code, out, err = call(["run", "-", "--dim", "512", "--no-trace"], capsys)
+    code, out, err = call(["run", "-", "--dim", "512", "--trace", "--no-trace"], capsys)
     assert code == 0 and "head=QUOTE" not in err
 
 
 def test_bad_usage_exits_with_one(capsys, monkeypatch):
     assert call(["bench", "nonsense"], capsys)[0] == 1
     assert call(["bench", "update_rules"], capsys)[0] == 1  # a deleted bench
+    assert call(["bench"], capsys)[0] == 1
     assert call([], capsys)[0] == 1
     for flag in ("--alpha", "--eta", "--max-iters", "--tol"):  # deleted session flags
         assert call(["run", "-", "--dim", "128", flag, "5"], capsys, monkeypatch, stdin="(QUOTE A)\n")[0] == 1
+    # bench kinds take only the settings their reports read
+    for flags in (["--theta-up", "0.9"], ["--memory", "mhn"], ["--step-limit", "5"], ["--trace"], ["--beta", "7"]):
+        assert call(["bench", "kanerva", "--dim", "128"] + flags, capsys)[:2] == (1, "")
+    assert call(["bench", "capacity", "--dim", "128", "--memory", "mhn"], capsys)[:2] == (1, "")
+
+
+@pytest.mark.parametrize("kind", ["kanerva", "capacity"])
+@pytest.mark.parametrize("dim", ["0", "-3"])
+def test_bench_rejects_a_nonpositive_dim_before_any_work(kind, dim, capsys):
+    code, out, err = call(["bench", kind, "--dim", dim], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: dim must be positive\n"
 
 
 @pytest.mark.parametrize("mode", [["run", "-"], ["repl"]])
@@ -251,6 +259,16 @@ def test_bad_memory_parameters_exit_before_evaluating(mode, flags, message, caps
     code, out, err = call(mode + ["--dim", "128"] + flags, capsys, monkeypatch, stdin="(QUOTE A)\n")
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("rho", ["501", "1001"])
+def test_a_minerva2_recall_that_underflows_to_zero_is_an_error(rho, capsys, monkeypatch):
+    # At these rho the recall's squared norm underflows to zero, so no cosine could read it as T or F.
+    stdin = "(ATOM (QUOTE A))\n(ATOM (CONS (QUOTE A) (QUOTE B)))\n"
+    argv = ["run", "-", "--dim", "256", "--memory", "minerva2", "--rho", rho]
+    code, out, err = call(argv, capsys, monkeypatch, stdin=stdin)
+    assert code == 1 and out == ""
+    assert err == f"error: minerva2 recall underflowed to zero at rho={rho}\n"
 
 
 def test_internal_failures_exit_with_two(capsys, monkeypatch):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from veclisp import codec, hrr
+from veclisp.cleanup import CleanupMemory
 from veclisp.hrr import (
     AtomRegistry,
     DegenerateVector,
@@ -470,6 +471,18 @@ def test_registry_nearest_cleans_a_noisy_atom():
     assert name == "A3" and sim > 0.9
 
 
+def test_registry_nearest_rejects_a_vector_of_zero_norm():
+    # A cosine cannot see such a vector, so no atom may be named for it.
+    reg = AtomRegistry(256, seed=14)
+    reg.coords("A")
+    tiny = reg.coords("A") * 1e-200  # its squared norm underflows to zero
+    for x in (np.zeros(256), tiny):
+        with pytest.raises(DegenerateVector):
+            reg.nearest(x)
+        with pytest.raises(DegenerateVector):
+            codec.decode(x, CleanupMemory(256), reg, Thresholds())
+
+
 def test_registry_nearest_finds_every_drawn_atom_exactly():
     reg = AtomRegistry(256, seed=16)
     names = [f"A{i}" for i in range(12)]
@@ -603,7 +616,7 @@ def test_registry_nearest_follows_new_atoms():
             reg.coords(names[-1])
         matrix = np.stack([reg.coords(k) for k in names])
         with np.errstate(invalid="ignore", divide="ignore"):
-            for v in (probe, 0.5 * later, np.zeros(256)):  # no exact atom: each one scans
+            for v in (probe, 0.5 * later):  # no exact atom: each one scans
                 norms = np.linalg.norm(matrix, axis=1) * np.linalg.norm(v)
                 sims = np.where(norms > 0.0, matrix @ v / norms, 0.0)
                 best = int(np.argmax(sims))
