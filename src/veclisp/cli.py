@@ -62,6 +62,14 @@ class _Parser(argparse.ArgumentParser):
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
+    def parse_known_args(self, args=None, namespace=None):
+        # Each subcommand's parser rejects the arguments it does not take
+        # itself, so the error shows that subcommand's usage line.
+        parsed, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return parsed, extras
+
 
 def _settings(parser: argparse.ArgumentParser, fields: Iterable[str]) -> argparse._ArgumentGroup:
     """Give ``parser`` the flags of ``fields``, each defaulting to ``SessionConfig()``'s value."""
@@ -254,6 +262,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         lines, bad, vec_error = _eval_checked(session, env, expr)
         if vec_error is not None:
             print(f"error: {vec_error}", file=sys.stderr)
+            for out in lines[1:]:  # the oracle's verdict, under --oracle-check
+                print(out)
             return 1
         for out in lines:
             print(out)

@@ -42,7 +42,6 @@ __all__ = [
 L_NAME = "#L"
 R_NAME = "#R"
 PHI_NAME = "#PHI"
-RHO_NAME = "#RHO"
 DONE_NAME = "#DONE"
 GENSYM_PREFIX = "#G"
 
@@ -53,7 +52,6 @@ _RESERVED = {
     "left": L_NAME,
     "right": R_NAME,
     "phi": PHI_NAME,
-    "rho": RHO_NAME,
     "nil": "NIL",
     "true": "T",
     "false": "F",
@@ -78,7 +76,6 @@ class TagSet:
     left: Vector
     right: Vector
     phi: Vector
-    rho: Vector
     nil: Vector
     true: Vector
     false: Vector

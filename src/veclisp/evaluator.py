@@ -295,7 +295,7 @@ class EvalSession:
     # -- lambda machinery ----------------------------------------------------------
 
     def relabel(self, x: Vector, e: Vector) -> tuple[Vector, Vector]:
-        """Swap every parameter, in a proper list of distinct atoms, for a fresh reserved atom.
+        """Swap every parameter, in a proper list of distinct atoms other than NIL, for a fresh reserved atom.
 
         The fresh list is consed first and the body then folded into its renamed
         copy, so the table gains rows in the order encoding the renamed trees would add them.
@@ -314,6 +314,8 @@ class EvalSession:
             cur = self.cdr(cur)
         if len(set(names)) != len(names):
             raise EvalError("relabel: duplicate parameter name")
+        if "NIL" in names:
+            raise EvalError("relabel: NIL cannot be a parameter")
         mapping = {nm: self._gensym() for nm in names}
         fresh = self.tags.nil
         for g in reversed([self.registry.coords(mapping[nm]) for nm in names]):
@@ -330,29 +332,21 @@ class EvalSession:
         return self.cons(lam, self.cons(x, self.cons(e, self.tags.nil)))
 
     def lambda_apply(self, lam: Vector, a: Vector) -> Vector:
-        """Apply a lambda vector to an argument list vector.
+        """One application of a lambda vector to an argument's value; the caller evaluates the result.
 
-        A lambda without the relabel marker is relabeled, marked and re-applied.
-        After that: exhausted parameters yield the body, an empty body yields
-        NIL, and otherwise one parameter is substituted away and a lambda over
-        the remaining parameters is built.
+        As in the oracle's ``apply_lambda``, the parameters and body are
+        relabeled on every application.  Then exhausted parameters yield the
+        body, an empty body yields NIL, and otherwise the first parameter is
+        replaced by ``a`` throughout the body and a lambda over the remaining
+        parameters is built.
         """
-        fresh = self._sim(lam, self.tags.rho) < self.thresholds.theta_down
-        params = _once(lambda: self.car(self.cdr(lam)))
-        body = _once(lambda: self.car(self.cdr(self.cdr(lam))))
-
-        def relabel_and_retry() -> Vector:
-            self._log("apply", "relabel")
-            y, e2 = self.relabel(params(), body())
-            base = self._lambda_expr(y, e2)
-            # The marked lambda, at unit norm like every key, is a key of its own with
-            # base's halves; it is interned, not built, so a cons of them still returns base.
-            row = self.pairs.intern(hrr.normalize(base + self.tags.rho), *self.pairs.halves[self.pairs.held(base)])
-            return self.lambda_apply(self.pairs.keys[row], a)
+        self._log("apply", "relabel")
+        rest = self.cdr(lam)
+        params, body = self.relabel(self.car(rest), self.car(self.cdr(rest)))
 
         def params_done() -> Vector:
             self._log("apply", "params-done")
-            return body()
+            return body
 
         def body_nil() -> Vector:
             self._log("apply", "body-nil")
@@ -360,26 +354,23 @@ class EvalSession:
 
         def curry() -> Vector:
             self._log("apply", "curry")
-            new_body = self.lambda_subst(params(), body(), a)
-            return self._lambda_expr(self.cdr(params()), new_body)
+            return self._lambda_expr(self.cdr(params), self.lambda_subst(params, body, a))
 
         return hrr.cascade(
             [
-                (lambda: 1.0 if fresh else 0.0, relabel_and_retry),
-                (lambda: self._sim(params(), self.tags.nil), params_done),
-                (lambda: self._sim(body(), self.tags.nil), body_nil),
+                (lambda: self._sim(params, self.tags.nil), params_done),
+                (lambda: self._sim(body, self.tags.nil), body_nil),
             ],
             curry,
             self.thresholds,
         )
 
     def lambda_subst(self, x: Vector, e: Vector, a: Vector) -> Vector:
-        """Structural substitution of the first parameter's value through ``e``."""
+        """Structural substitution of the value ``a`` for the first parameter throughout ``e``."""
         nil = self.tags.nil
         car_x = _once(lambda: self.car(x))
         car_e = _once(lambda: self.car(e))
         cdr_e = _once(lambda: self.cdr(e))
-        car_a = _once(lambda: self.car(a))
 
         def subst(y: Vector) -> Vector:
             return self.lambda_subst(x, y, a)
@@ -393,9 +384,9 @@ class EvalSession:
         alternatives = [
             (lambda: self._sim(x, nil), lambda: e),
             (lambda: self._sim(e, nil), lambda: nil),
-            (lambda: self._sim(car_x(), e), car_a),
+            (lambda: self._sim(car_x(), e), lambda: a),
             (lambda: self._sim(self.atom(e, nil), self.tags.true), lambda: e),
-            (lambda: self._sim(car_x(), car_e()), lambda: self.cons(car_a(), subst(cdr_e()))),
+            (lambda: self._sim(car_x(), car_e()), lambda: self.cons(a, subst(cdr_e()))),
             (
                 lambda: self._sim(self.atom(car_e(), nil), self.tags.false),
                 lambda: self.cons(subst(car_e()), subst(cdr_e())),
@@ -451,8 +442,7 @@ class EvalSession:
         if not self.is_atomic(head):
             self._trace("lambda", self._sim(head, self.tags.phi))
             lam = self.eval_vec(head)
-            a = self._eval_call_args(self.cdr(v))
-            return self.eval_vec(self.lambda_apply(lam, a))
+            return self.eval_vec(self.lambda_apply(lam, self._eval_call_arg(self.cdr(v))))
         sims = [self._sim(head, b) for b in self._builtin_vectors]
         best = int(np.argmax(sims))
         if sims[best] >= self.thresholds.theta_up:
@@ -483,11 +473,11 @@ class EvalSession:
             return self.cons(first, second)
         return self.eq(first, second)
 
-    def _eval_call_args(self, rest: Vector) -> Vector:
+    def _eval_call_arg(self, rest: Vector) -> Vector:
+        """The value of a call tail's first element, or NIL for an empty tail."""
         if self._is_nil(rest):
             return self.tags.nil
-        val = self.eval_vec(self.car(rest))
-        return self.cons(val, self.cdr(rest))
+        return self.eval_vec(self.car(rest))
 
     def _trace(self, label: str, sim: float) -> None:
         if self.trace_sink is not None:

@@ -138,6 +138,8 @@ def relabel(params: SExpr, body: SExpr, env: OracleEnv) -> tuple[SExpr, SExpr]:
         raise OracleError("relabel: parameter list must be a proper list of atoms")
     if len(set(names)) != len(names):
         raise OracleError("relabel: duplicate parameter name")
+    if "NIL" in names:
+        raise OracleError("relabel: NIL cannot be a parameter")
     mapping = {nm: env.gensym() for nm in names}
     fresh: SExpr = NIL
     for nm in reversed(names):

@@ -311,13 +311,16 @@ def gen_datum(rng, depth):
     return f"({gen_datum(rng, depth - 1)} . {gen_datum(rng, depth - 1)})"
 
 
-def gen_expr(rng, depth, param=None):
-    """A random expression over the elementary forms and one-parameter lambdas."""
-    leaves = GEN_ATOMS + ((param,) if param else ())
-    form = rng.choice(GEN_FORMS) if depth > 0 else "atom"
+def gen_expr(rng, depth, params=(), forms=GEN_FORMS):
+    """A random expression over ``forms``, whose leaves are atoms and the parameters ``params`` in scope."""
+    leaves = GEN_ATOMS + params
+    form = rng.choice(forms) if depth > 0 else "atom"
 
     def sub():
-        return gen_expr(rng, depth - 1, param)
+        return gen_expr(rng, depth - 1, params, forms)
+
+    def body(*ps):
+        return gen_expr(rng, depth - 1, ps, forms)
 
     if form == "atom":
         return rng.choice(leaves)
@@ -332,9 +335,18 @@ def gen_expr(rng, depth, param=None):
         if rng.random() < 0.5:
             clauses.append(f"(T . {sub()})")
         return f"(COND {' '.join(clauses)})"
-    # Apply, then run the nullary lambda the application leaves.
     p = rng.choice(GEN_ATOMS[:3])
-    return f"(((LAMBDA ({p}) {gen_expr(rng, depth - 1, p)}) {sub()}))"
+    if form == "NULLARY":
+        # The empty call tail binds the parameter to NIL.
+        return f"((LAMBDA ({p}) {body(p)}))"
+    if form == "CURRY":
+        q = rng.choice([a for a in GEN_ATOMS[:3] if a != p])
+        return f"((((LAMBDA ({p} {q}) {body(p, q)}) {sub()}) {sub()}))"
+    if form == "PASS":
+        # A lambda passed as the argument, then applied to one by the body.
+        return f"(((LAMBDA (H) ((H {sub()}))) (LAMBDA ({p}) {body(p)})))"
+    # Apply, then run the nullary lambda the application leaves.
+    return f"(((LAMBDA ({p}) {body(p)}) {sub()}))"
 
 
 def test_generated_programs_agree_with_the_oracle(capsys):
@@ -397,4 +409,57 @@ def test_projection_by_key_scan_alone_carries_the_corpus(capsys, monkeypatch):
         "projection by key scan",
         ok,
         f"{', '.join(detail for _, detail in gated)}; not gated: {', '.join(shown)}",
+    )
+
+
+CALL_FORMS = GEN_FORMS + ("NULLARY", "CURRY", "PASS")
+CALL_PROGRAMS = ("expr", "define-call", "define-recursion")
+
+
+def gen_program(rng, depth):
+    """The lines of one random program: an expression over every call shape, or a definition and its call."""
+    kind = rng.choice(CALL_PROGRAMS)
+    if kind == "expr":
+        return [gen_expr(rng, depth, (), CALL_FORMS)]
+    p = rng.choice(GEN_ATOMS[:3])
+    if kind == "define-call":
+        body = gen_expr(rng, depth - 1, (p,), CALL_FORMS)
+        call = f"((FN {gen_expr(rng, depth - 1, (), CALL_FORMS)}))"
+    else:
+        # Recursion down the argument's right spine, which a quoted datum ends.
+        base = gen_expr(rng, depth - 2, (p,), CALL_FORMS)
+        rest = f"((FN (CDR {p})))"
+        if rng.random() < 0.5:
+            rest = f"(CONS {gen_expr(rng, depth - 2, (p,), CALL_FORMS)} {rest})"
+        body = f"(COND ((ATOM {p}) . {base}) ((QUOTE T) . {rest}))"
+        call = f"((FN (QUOTE {gen_datum(rng, depth - 1)})))"
+    return [f"(DEFINE FN (LAMBDA ({p}) {body}))", call]
+
+
+def test_every_call_shape_agrees_with_the_oracle(capsys):
+    rng = random.Random(1729)
+    programs = [gen_program(rng, 4) for _ in range(300)]
+    evaluated = rejected = agreed = raised = 0
+    first = ""
+    for lines in programs:
+        sess = EvalSession(SessionConfig(dim=2048, seed=1729))
+        env = oracle.OracleEnv()
+        verdicts = [twins_agree(sess, env, reader.parse(text)) for text in lines]
+        ok = all(agrees for _, agrees in verdicts)
+        if any(rejected_here for rejected_here, _ in verdicts):
+            rejected += 1
+            raised += ok
+        else:
+            evaluated += 1
+            agreed += ok
+        first = first or ("" if ok else f" first={' '.join(lines)!r}")
+    disagreements = evaluated - agreed + rejected - raised
+    ok = disagreements == 0 and evaluated > 0 and rejected > 0
+    report(
+        capsys,
+        12,
+        "call shapes",
+        ok,
+        f"{len(programs)} at depth 4: {disagreements} disagreements, evaluated agreement {agreed}/{evaluated}, "
+        f"error agreement {raised}/{rejected}{first}",
     )

@@ -137,6 +137,22 @@ def test_run_aborts_on_an_evaluation_error(tmp_path, capsys):
     assert "cond exhausted" in err
 
 
+def test_run_with_oracle_check_prints_the_verdict_before_exiting_on_an_error(capsys, monkeypatch):
+    code, out, err = call(
+        ["run", "-", "--dim", "512", "--oracle-check"], capsys, monkeypatch, stdin="(CAR (QUOTE A))\n(QUOTE B)\n"
+    )
+    assert code == 1
+    assert out == "oracle: error: CAR of an atom is undefined MATCH\n"
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize("mode", [["run", "-"], ["repl"]])
+def test_a_lambda_applied_to_no_argument_matches_the_oracle(mode, capsys, monkeypatch):
+    code, out, err = call(mode + ["--oracle-check"], capsys, monkeypatch, stdin="((LAMBDA (X) (CONS X X)))\n")
+    assert (code, err) == (0, "")
+    assert out == "(LAMBDA NIL (CONS NIL NIL))\noracle: (LAMBDA NIL (CONS NIL NIL)) MATCH\n"
+
+
 def test_run_reports_a_depth_limit_as_an_error(tmp_path, capsys):
     script = tmp_path / "prog.vl"
     items = " ".join(f"X{i}" for i in range(40))
@@ -234,6 +250,23 @@ def test_bad_usage_exits_with_one(capsys, monkeypatch):
     for flags in (["--theta-up", "0.9"], ["--memory", "mhn"], ["--step-limit", "5"], ["--trace"], ["--beta", "7"]):
         assert call(["bench", "kanerva", "--dim", "128"] + flags, capsys)[:2] == (1, "")
     assert call(["bench", "capacity", "--dim", "128", "--memory", "mhn"], capsys)[:2] == (1, "")
+
+
+@pytest.mark.parametrize(
+    "argv, usage, unknown",
+    [
+        (["bench", "kanerva", "--memory", "mhn"], "veclisp bench kanerva [-h] [--dim DIM] [--seed SEED] [--out OUT]\n",
+         "--memory mhn"),
+        (["bench", "--bogus", "kanerva"], "veclisp bench [-h] {capacity,kanerva} ...\n", "--bogus"),
+        (["run", "-", "--bogus"], "veclisp run [-h] ", "--bogus"),
+        (["--bogus", "run", "-"], "veclisp [-h] {repl,run,bench} ...\n", "--bogus"),
+    ],
+)
+def test_an_unknown_flag_gets_the_usage_of_the_command_it_was_given_to(argv, usage, unknown, capsys, monkeypatch):
+    code, out, err = call(argv, capsys, monkeypatch, stdin="(QUOTE A)\n")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"usage: {usage}")
+    assert err.endswith(f"error: unrecognized arguments: {unknown}\n")
 
 
 @pytest.mark.parametrize("kind", ["kanerva", "capacity"])

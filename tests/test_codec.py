@@ -392,7 +392,7 @@ def test_decode_respects_an_explicit_depth_budget():
 
 
 def test_reserved_tag_names_cannot_be_parsed():
-    for name in (codec.L_NAME, codec.R_NAME, codec.PHI_NAME, codec.RHO_NAME, codec.DONE_NAME):
+    for name in (codec.L_NAME, codec.R_NAME, codec.PHI_NAME, codec.DONE_NAME):
         with pytest.raises(Exception):
             parse(name)
 

@@ -501,6 +501,20 @@ def test_nullary_lambda_runs_its_body_on_the_implicit_nil_call():
     assert sess.branch_log == [("fcall", "miss"), ("apply", "relabel"), ("apply", "params-done")]
 
 
+def test_a_lambda_applied_to_no_argument_binds_its_parameter_to_nil_on_both_twins():
+    # The empty call tail is the argument NIL, as in the oracle's _eval_call_arg.
+    text = "((LAMBDA (X) (CONS X X)))"
+    want_log = [("fcall", "miss"), ("apply", "relabel"), ("apply", "curry"), ("subst", 7), ("subst", 5),
+                ("subst", 5), ("subst", 2), ("fcall", "miss")]
+    sess = fresh()
+    sess.branch_log = []
+    assert run(sess, text) == "(LAMBDA NIL (CONS NIL NIL))"
+    assert sess.branch_log == want_log
+    env = OracleEnv(branch_log=[])
+    assert to_text(oracle.evaluate(parse(text), env)) == "(LAMBDA NIL (CONS NIL NIL))"
+    assert env.branch_log == want_log
+
+
 def test_empty_body_yields_nil_before_any_substitution():
     sess = fresh()
     sess.branch_log = []
@@ -511,9 +525,9 @@ def test_empty_body_yields_nil_before_any_substitution():
 def test_relabel_validates_parameter_lists():
     sess = fresh()
     body = sess.encode(Atom("P"))
-    # A non-atom parameter, an improper list (twice) and a duplicate name,
-    # each rejected with the oracle's message.
-    for params in ["((A) B)", "(P . Q)", "P", "(P P)"]:
+    # A non-atom parameter, an improper list (twice), a duplicate name and
+    # NIL, each rejected with the oracle's message.
+    for params in ["((A) B)", "(P . Q)", "P", "(P P)", "(P NIL)"]:
         with pytest.raises(oracle.OracleError) as want:
             oracle.relabel(parse(params), Atom("P"), OracleEnv())
         with pytest.raises(EvalError) as got:
@@ -521,6 +535,18 @@ def test_relabel_validates_parameter_lists():
         assert str(got.value) == str(want.value)
     y, e2 = sess.relabel(sess.tags.nil, body)
     assert np.array_equal(y, sess.tags.nil) and np.array_equal(e2, body)
+
+
+def test_a_parameter_named_nil_is_rejected_on_both_twins():
+    # Renaming NIL would rename every list terminator in the body: here the
+    # ATOM call would gain a surplus argument, which the twins treat apart.
+    # An enclosing application can substitute NIL into a parameter list.
+    for text in ["(((LAMBDA (NIL) (ATOM (QUOTE A))) (QUOTE X)))",
+                 "(((LAMBDA (P) (((LAMBDA (P) (ATOM (QUOTE A))) (QUOTE X)))) NIL))"]:
+        with pytest.raises(EvalError, match="NIL cannot be a parameter"):
+            run(fresh(), text)
+        with pytest.raises(oracle.OracleError, match="NIL cannot be a parameter"):
+            oracle.evaluate(parse(text), OracleEnv())
 
 
 def test_relabel_keys_are_the_encoding_of_the_renamed_tree():
@@ -552,13 +578,13 @@ def test_relabel_keys_are_the_encoding_of_the_renamed_tree():
     assert e2.tobytes() == built(renamed).tobytes()
 
 
-def test_every_table_key_has_unit_norm_after_a_relabel():
-    # The relabel marker is interned normalized like every built key, so the
-    # table's dot-product nearest key is the cosine nearest key.
+def test_every_table_key_is_the_cons_of_its_halves_after_a_curried_application():
+    # An application stores no key of its own, so every row is a built pair
+    # at unit norm and the table's dot-product nearest key is the cosine one.
     sess = fresh()
     assert run(sess, "((((LAMBDA (P Q) (CONS Q P)) (QUOTE A)) (QUOTE B)))") == "(B . A)"
-    marked = [k for k in sess.pairs.keys if hrr.similarity(k, sess.tags.rho) >= sess.thresholds.theta_down]
-    assert len(marked) >= 2
+    for key, (left, right) in zip(sess.pairs.keys, sess.pairs.halves):
+        assert key.tobytes() == codec.cons_vec(left, right, sess.tags).tobytes()
     norms = np.linalg.norm(sess.pairs.traces, axis=1)
     assert np.max(np.abs(norms - 1.0)) < 1e-12
 
@@ -593,8 +619,8 @@ SUBST_CASES = [
 def test_substitution_agrees_with_the_oracle(x_text, e_text, value_text):
     sess = fresh()
     sess.branch_log = []
-    args = sess.encode(Pair(parse(value_text), reader.NIL))
-    got = sess.lambda_subst(sess.encode(parse(x_text)), sess.encode(parse(e_text)), args)
+    value = sess.encode(parse(value_text))
+    got = sess.lambda_subst(sess.encode(parse(x_text)), sess.encode(parse(e_text)), value)
 
     env = OracleEnv(branch_log=[])
     want = oracle.substitute(parse(x_text), parse(e_text), parse(value_text), env)

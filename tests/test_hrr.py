@@ -1,5 +1,6 @@
 """Algebra tests: FFT binding against a hand-rolled convolution, exact
 identities, registry determinism, and the lazy cascade's forcing contract."""
+import dataclasses
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -85,7 +86,7 @@ def test_coordinates_are_an_orthogonal_map_that_turns_bind_elementwise(n):
         hrr.bind_coords(x, np.zeros(n + 1))
     # A tag set's unbind, by the role's conjugate, is the coordinates of the
     # unbind by the role's involution, for one vector and for a stack.
-    roles = rng.normal(0.0, 1.0 / np.sqrt(n), (8, n))
+    roles = rng.normal(0.0, 1.0 / np.sqrt(n), (len(dataclasses.fields(codec.TagSet)), n))
     tags = codec.TagSet(*hrr.to_coords(roles))
     for role, tag in ((roles[0], tags.left), (roles[1], tags.right)):
         assert np.abs(tags.unbind(tag, y[0]) - hrr.to_coords(hrr.unbind(role, v[0]))).max() < 1e-12

@@ -150,7 +150,7 @@ def test_malformed_lambda_shapes_raise():
 
 def test_relabel_validates_parameter_lists():
     env = OracleEnv()
-    for params in ["(P . Q)", "((A) B)", "(P P)", "A"]:
+    for params in ["(P . Q)", "((A) B)", "(P P)", "A", "(NIL)"]:
         with pytest.raises(OracleError):
             oracle.relabel(parse(params), parse("P"), env)
     fresh, body = oracle.relabel(NIL, parse("(A B)"), env)
